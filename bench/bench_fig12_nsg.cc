@@ -60,7 +60,7 @@ int main() {
   // NSG's own CPU search (single thread).
   Curve nsg_curve;
   nsg_curve.label = "NSG";
-  song::VisitedBuffer visited;
+  song::EpochVisitedSet visited;
   for (const size_t ef : DefaultQueueSizes(kTop)) {
     std::vector<std::vector<song::idx_t>> ids(w.queries.num());
     song::Timer timer;

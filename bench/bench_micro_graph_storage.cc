@@ -1,16 +1,14 @@
 // Micro ablation for §IV-A: fixed-degree rows vs CSR adjacency during graph
 // traversal. The fixed-degree layout locates a row with one multiply and one
 // (coalesced) load; CSR needs the offset pair first — an extra dependent
-// memory access per expansion. On the CPU the effect shows up as pointer
-// chasing + worse prefetch; on the GPU (modeled) it is a full extra global
-// transaction.
+// memory access per expansion, on the GPU (modeled) a full extra global
+// transaction. The CSR side is a transaction count, not a stored format.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "data/synthetic.h"
-#include "graph/csr_graph.h"
 #include "graph/fixed_degree_graph.h"
 #include "graph/nsw_builder.h"
 
@@ -19,7 +17,6 @@ namespace {
 
 struct StorageFixture {
   FixedDegreeGraph fixed;
-  CsrGraph csr;
   static StorageFixture& Get() {
     static StorageFixture* f = [] {
       auto* fx = new StorageFixture();
@@ -31,7 +28,6 @@ struct StorageFixture {
       spec.seed = 5050;
       const SyntheticData gen = GenerateSynthetic(spec);
       fx->fixed = NswBuilder::Build(gen.points, Metric::kL2, {});
-      fx->csr = CsrGraph::FromFixedDegree(fx->fixed);
       return fx;
     }();
     return *f;
@@ -59,23 +55,9 @@ void BM_FixedDegreeWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_FixedDegreeWalk);
 
-void BM_CsrWalk(benchmark::State& state) {
-  auto& fx = StorageFixture::Get();
-  std::mt19937 rng(1);
-  idx_t v = 0;
-  size_t sum = 0;
-  for (auto _ : state) {
-    size_t count = 0;
-    const idx_t* row = fx.csr.Neighbors(v, &count);
-    for (size_t i = 0; i < count; ++i) sum += row[i];
-    v = count > 0 ? row[rng() % count] : static_cast<idx_t>(rng() % 20000);
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CsrWalk);
-
-// GPU-side accounting comparison (printed as counters, not wall time).
+// GPU-side accounting comparison (printed as counters, not wall time). A CSR
+// expansion reads the offset pair (one transaction) and then its `count`
+// ids packed contiguously: 1 + ceil(count*4/128) transactions.
 void BM_ModeledTransactionsPerExpansion(benchmark::State& state) {
   auto& fx = StorageFixture::Get();
   size_t fixed_tx = 0, csr_tx = 0, expansions = 0;
@@ -83,7 +65,7 @@ void BM_ModeledTransactionsPerExpansion(benchmark::State& state) {
     for (idx_t v = 0; v < 1000; ++v) {
       // Fixed degree: ceil(degree*4/128) transactions, no indirection.
       fixed_tx += (fx.fixed.degree() * sizeof(idx_t) + 127) / 128;
-      csr_tx += CsrGraph::ExpansionTransactions(fx.csr.NeighborCount(v));
+      csr_tx += 1 + (fx.fixed.NeighborCount(v) * sizeof(idx_t) + 127) / 128;
       ++expansions;
     }
   }

@@ -6,11 +6,14 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <queue>
+#include <span>
+#include <string>
 
 #include "core/random.h"
 #include "core/sync.h"
 #include "core/thread_pool.h"
+#include "graph/graph_search.h"
+#include "graph/nsw_builder.h"
 
 namespace song {
 
@@ -27,6 +30,46 @@ void WriteRow(idx_t* row, size_t capacity, const std::vector<idx_t>& ids) {
   std::fill(row, row + capacity, kInvalidIdx);
   std::copy(ids.begin(), ids.end(), row);
 }
+
+// Greedy descent through layers (top_level, bottom_level]: on each layer,
+// move to the closest traversable neighbour until none improves (HNSW
+// Algorithm 2 with ef = 1). `row_of(v, level)` follows BestFirstSearch's
+// row contract.
+template <typename RowFn, typename DistanceFn, typename MayTraverseFn>
+Neighbor GreedyDescent(Neighbor ep, size_t top_level, size_t bottom_level,
+                       const RowFn& row_of, const DistanceFn& distance,
+                       const MayTraverseFn& may_traverse) {
+  for (size_t l = top_level; l > bottom_level; --l) {
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (const idx_t u : row_of(ep.id, l)) {
+        if (u == kInvalidIdx) break;
+        if (!may_traverse(u)) continue;
+        const float d = distance(u);
+        if (d < ep.dist) {
+          ep = Neighbor(d, u);
+          improved = true;
+        }
+      }
+    }
+  }
+  return ep;
+}
+
+// Layer-0 query distance: the fused gather kernel scores each row batch.
+struct BatchQueryDistance {
+  const BatchDistance& batch;
+  const float* query;
+  float query_norm_sqr;
+
+  float operator()(idx_t v) const {
+    return batch.Compute(query, query_norm_sqr, v);
+  }
+  void ComputeBatch(const idx_t* ids, size_t n, float* out) const {
+    batch.ComputeBatch(query, query_norm_sqr, ids, n, out);
+  }
+};
 
 }  // namespace
 
@@ -63,60 +106,28 @@ Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
   inserted[0].store(true, std::memory_order_release);
 
   const size_t dim = data_->dim();
-  auto snapshot_row = [&](idx_t v, size_t level, std::vector<idx_t>* out) {
-    MutexLock guard(locks[v]);
-    const idx_t* row = Row(v, level);
-    const size_t cap = RowCapacity(level);
-    out->clear();
-    for (size_t i = 0; i < cap && row[i] != kInvalidIdx; ++i) {
-      out->push_back(row[i]);
-    }
-  };
-
-  // Layer-restricted search against the in-flux graph.
-  auto build_search = [&](const float* q, std::vector<Neighbor> eps,
-                          size_t ef, size_t level,
-                          VisitedBuffer* visited) -> std::vector<Neighbor> {
-    visited->Resize(n);
-    visited->NextEpoch();
-    std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>> cand;
-    std::priority_queue<Neighbor> top;
-    for (const Neighbor& ep : eps) {
-      if (visited->TestAndSet(ep.id)) continue;
-      cand.push(ep);
-      top.push(ep);
-      if (top.size() > ef) top.pop();
-    }
-    std::vector<idx_t> row;
-    while (!cand.empty()) {
-      const Neighbor now = cand.top();
-      cand.pop();
-      if (top.size() >= ef && now.dist > top.top().dist) break;
-      snapshot_row(now.id, level, &row);
-      for (const idx_t u : row) {
-        if (!inserted[u].load(std::memory_order_acquire)) continue;
-        if (visited->TestAndSet(u)) continue;
-        const float d = dist_(q, data_->Row(u), dim);
-        if (top.size() < ef || d < top.top().dist) {
-          cand.emplace(d, u);
-          top.emplace(d, u);
-          if (top.size() > ef) top.pop();
-        }
-      }
-    }
-    std::vector<Neighbor> out(top.size());
-    for (size_t i = top.size(); i-- > 0;) {
-      out[i] = top.top();
-      top.pop();
-    }
-    return out;
+  const auto is_inserted = [&](idx_t u) {
+    return inserted[u].load(std::memory_order_acquire);
   };
 
   ParallelFor(n - 1, options.num_threads, [&](size_t job, size_t) {
-    thread_local VisitedBuffer visited;
+    thread_local EpochVisitedSet visited;
+    thread_local std::vector<idx_t> row_buf;
     const idx_t v = static_cast<idx_t>(job + 1);
     const float* point = data_->Row(v);
     const size_t level = levels_[v];
+    // Rows of the in-flux graph are copied under their vertex lock.
+    const auto row_of = [&](idx_t u, size_t l) {
+      {
+        MutexLock guard(locks[u]);
+        const idx_t* row = Row(u, l);
+        row_buf.assign(row, row + RowCount(row, RowCapacity(l)));
+      }
+      return std::span<const idx_t>(row_buf);
+    };
+    const auto distance = [&](idx_t u) {
+      return dist_(point, data_->Row(u), dim);
+    };
 
     idx_t ep;
     size_t top_level;
@@ -125,31 +136,17 @@ Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
       ep = entry_;
       top_level = max_level_;
     }
-    Neighbor ep_n(dist_(point, data_->Row(ep), dim), ep);
-
-    // Greedy descent through layers above the new vertex's level.
-    for (size_t l = top_level; l > level && l > 0; --l) {
-      bool improved = true;
-      std::vector<idx_t> row;
-      while (improved) {
-        improved = false;
-        snapshot_row(ep_n.id, l, &row);
-        for (const idx_t u : row) {
-          if (!inserted[u].load(std::memory_order_acquire)) continue;
-          const float d = dist_(point, data_->Row(u), dim);
-          if (d < ep_n.dist) {
-            ep_n = Neighbor(d, u);
-            improved = true;
-          }
-        }
-      }
-    }
+    const Neighbor ep_n = GreedyDescent(Neighbor(distance(ep), ep), top_level,
+                                        level, row_of, distance, is_inserted);
 
     std::vector<Neighbor> eps{ep_n};
     for (size_t l = std::min(level, top_level) + 1; l-- > 0;) {
-      std::vector<Neighbor> pool =
-          build_search(point, eps, options.ef_construction, l, &visited);
-      std::vector<idx_t> selected = SelectNeighborsHeuristic(v, pool, m_);
+      std::vector<Neighbor> pool = BestFirstSearch(
+          [&](idx_t u) { return row_of(u, l); }, distance,
+          std::span<const Neighbor>(eps), options.ef_construction, n,
+          &visited, /*stats=*/nullptr, is_inserted);
+      std::vector<idx_t> selected =
+          NswBuilder::SelectDiverse(*data_, metric_, v, pool, m_);
       {
         MutexLock guard(locks[v]);
         WriteRow(MutableRow(v, l), RowCapacity(l), selected);
@@ -174,9 +171,10 @@ Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
               dist_(data_->Row(u), data_->Row(row[i]), dim), row[i]);
         }
         shrink_pool.emplace_back(dist_(data_->Row(u), data_->Row(v), dim), v);
-        const std::vector<idx_t> kept =
-            SelectNeighborsHeuristic(u, shrink_pool, cap);
-        WriteRow(row, cap, kept);
+        std::sort(shrink_pool.begin(), shrink_pool.end());
+        WriteRow(row, cap,
+                 NswBuilder::SelectDiverse(*data_, metric_, u, shrink_pool,
+                                           cap));
       }
       if (!pool.empty()) eps = std::move(pool);
     }
@@ -210,128 +208,31 @@ idx_t* Hnsw::MutableRow(idx_t v, size_t level) {
   return &upper_[v][(level - 1) * m_];
 }
 
-std::vector<idx_t> Hnsw::SelectNeighborsHeuristic(idx_t for_vertex,
-                                                  std::vector<Neighbor> pool,
-                                                  size_t m) const {
-  const size_t dim = data_->dim();
-  std::sort(pool.begin(), pool.end());
-  std::vector<idx_t> selected;
-  selected.reserve(m);
-  std::vector<Neighbor> discarded;
-  for (const Neighbor& cand : pool) {
-    if (selected.size() >= m) break;
-    if (cand.id == for_vertex) continue;
-    bool occluded = false;
-    for (const idx_t s : selected) {
-      if (s == cand.id) {
-        occluded = true;
-        break;
-      }
-      if (dist_(data_->Row(s), data_->Row(cand.id), dim) < cand.dist) {
-        occluded = true;
-        break;
-      }
-    }
-    if (occluded) {
-      discarded.push_back(cand);
-    } else {
-      selected.push_back(cand.id);
-    }
-  }
-  // keepPrunedConnections: fill remaining slots with the closest discards.
-  for (const Neighbor& d : discarded) {
-    if (selected.size() >= m) break;
-    if (std::find(selected.begin(), selected.end(), d.id) == selected.end()) {
-      selected.push_back(d.id);
-    }
-  }
-  return selected;
-}
-
-std::vector<Neighbor> Hnsw::SearchLayer(const float* query,
-                                        std::vector<Neighbor> entry_points,
-                                        size_t ef, size_t level,
-                                        VisitedBuffer* visited,
-                                        HnswSearchStats* stats) const {
-  const float qn = batch_dist_.QueryNormSqr(query);
-  visited->Resize(data_->num());
-  visited->NextEpoch();
-  std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>> cand;
-  std::priority_queue<Neighbor> top;
-  for (const Neighbor& ep : entry_points) {
-    if (visited->TestAndSet(ep.id)) continue;
-    cand.push(ep);
-    top.push(ep);
-    if (top.size() > ef) top.pop();
-  }
-  const size_t cap = RowCapacity(level);
-  // Unvisited neighbors are gathered first, then scored in one fused batch
-  // call — valid because their distances do not depend on heap state, only
-  // the accept/push step does.
-  std::vector<idx_t> batch_ids;
-  std::vector<float> batch_dists;
-  batch_ids.reserve(cap);
-  batch_dists.reserve(cap);
-  while (!cand.empty()) {
-    const Neighbor now = cand.top();
-    cand.pop();
-    if (top.size() >= ef && now.dist > top.top().dist) break;
-    if (stats != nullptr) ++stats->hops;
-    const idx_t* row = Row(now.id, level);
-    batch_ids.clear();
-    for (size_t i = 0; i < cap && row[i] != kInvalidIdx; ++i) {
-      const idx_t u = row[i];
-      if (visited->TestAndSet(u)) continue;
-      batch_ids.push_back(u);
-    }
-    if (batch_ids.empty()) continue;
-    batch_dists.resize(batch_ids.size());
-    batch_dist_.ComputeBatch(query, qn, batch_ids.data(), batch_ids.size(),
-                             batch_dists.data());
-    if (stats != nullptr) stats->distance_computations += batch_ids.size();
-    for (size_t i = 0; i < batch_ids.size(); ++i) {
-      const idx_t u = batch_ids[i];
-      const float d = batch_dists[i];
-      if (top.size() < ef || d < top.top().dist) {
-        cand.emplace(d, u);
-        top.emplace(d, u);
-        if (top.size() > ef) top.pop();
-      }
-    }
-  }
-  std::vector<Neighbor> out(top.size());
-  for (size_t i = top.size(); i-- > 0;) {
-    out[i] = top.top();
-    top.pop();
-  }
-  return out;
-}
-
 std::vector<Neighbor> Hnsw::Search(const float* query, size_t k, size_t ef,
                                    HnswSearchStats* stats) const {
-  thread_local VisitedBuffer visited;
+  thread_local EpochVisitedSet visited;
   const size_t dim = data_->dim();
-  Neighbor ep(dist_(query, data_->Row(entry_), dim), entry_);
-  if (stats != nullptr) ++stats->distance_computations;
-  for (size_t l = max_level_; l > 0; --l) {
-    bool improved = true;
-    const size_t cap = RowCapacity(l);
-    while (improved) {
-      improved = false;
-      const idx_t* row = Row(ep.id, l);
-      for (size_t i = 0; i < cap && row[i] != kInvalidIdx; ++i) {
-        const float d = dist_(query, data_->Row(row[i]), dim);
-        if (stats != nullptr) ++stats->distance_computations;
-        if (d < ep.dist) {
-          ep = Neighbor(d, row[i]);
-          improved = true;
-        }
-      }
-    }
-  }
-  std::vector<Neighbor> result =
-      SearchLayer(query, {ep}, std::max(ef, k), 0, &visited, stats);
+  GraphSearchStats layer_stats;
+  const auto distance = [&](idx_t v) {
+    ++layer_stats.distance_computations;
+    return dist_(query, data_->Row(v), dim);
+  };
+  const auto row_of = [this](idx_t v, size_t level) {
+    return std::span<const idx_t>(Row(v, level), RowCapacity(level));
+  };
+  const Neighbor ep =
+      GreedyDescent(Neighbor(distance(entry_), entry_), max_level_, 0, row_of,
+                    distance, TraverseAll{});
+  const BatchQueryDistance batch{batch_dist_, query,
+                                 batch_dist_.QueryNormSqr(query)};
+  std::vector<Neighbor> result = BestFirstSearch(
+      [&](idx_t v) { return row_of(v, 0); }, batch, {&ep, 1}, std::max(ef, k),
+      data_->num(), &visited, &layer_stats);
   if (result.size() > k) result.resize(k);
+  if (stats != nullptr) {
+    stats->distance_computations += layer_stats.distance_computations;
+    stats->hops += layer_stats.hops;
+  }
   return result;
 }
 
@@ -351,6 +252,15 @@ FixedDegreeGraph Hnsw::ExportBaseLayer() const {
 
 namespace {
 constexpr char kHnswMagic[4] = {'S', 'N', 'G', 'H'};
+
+/// Every slot is the kInvalidIdx pad or a vertex whose own level reaches
+/// `level` (search reads Row(id, level) of every id it meets there).
+bool RowIdsValid(std::span<const idx_t> slots,
+                 const std::vector<uint32_t>& levels, size_t level) {
+  return std::all_of(slots.begin(), slots.end(), [&](idx_t id) {
+    return id == kInvalidIdx || (id < levels.size() && levels[id] >= level);
+  });
+}
 }  // namespace
 
 Status Hnsw::Save(const std::string& path) const {
@@ -393,29 +303,66 @@ StatusOr<Hnsw> Hnsw::Load(const std::string& path, const Dataset* data,
             std::fread(&level32, 4, 1, f) == 1 &&
             std::fread(&entry32, 4, 1, f) == 1 &&
             std::fread(&n64, 8, 1, f) == 1;
-  if (!ok || m32 == 0 || n64 != data->num()) {
+  if (!ok || m32 == 0 || n64 == 0 || n64 != data->num()) {
     std::fclose(f);
     return Status::IOError("bad/stale HNSW index: " + path);
+  }
+  const auto corrupt = [&](const std::string& what) {
+    std::fclose(f);
+    return Status::DataLoss("corrupt HNSW index (" + what + "): " + path);
+  };
+  if (level32 > 31) return corrupt("max level past 31");
+  if (entry32 >= n64) return corrupt("entry point out of range");
+  // Size the per-vertex levels and the layer-0 slots against the file
+  // before allocating either (n64 is the in-memory dataset's size, so
+  // n64 * 8 cannot overflow).
+  const long remaining = RemainingBytes(f);
+  const uint64_t levels_bytes = n64 * sizeof(uint32_t);
+  if (remaining < 0 || static_cast<uint64_t>(remaining) < levels_bytes ||
+      (static_cast<uint64_t>(remaining) - levels_bytes) /
+              (n64 * 2 * sizeof(idx_t)) < m32) {
+    return corrupt("truncated or oversized degree");
   }
   Hnsw index(LoadTag{}, data, metric, m32);
   index.level_mult_ = 1.0 / std::log(static_cast<double>(m32));
   index.max_level_ = level32;
   index.entry_ = entry32;
   index.levels_.resize(n64);
-  index.layer0_.resize(n64 * 2 * m32);
-  ok = std::fread(index.levels_.data(), sizeof(uint32_t), n64, f) == n64;
-  ok = ok && std::fread(index.layer0_.data(), sizeof(idx_t),
-                        index.layer0_.size(), f) == index.layer0_.size();
+  if (std::fread(index.levels_.data(), sizeof(uint32_t), n64, f) != n64) {
+    return corrupt("short read");
+  }
+  uint64_t upper_slots = 0;
+  for (const uint32_t level : index.levels_) {
+    if (level > level32) return corrupt("vertex level above max level");
+    upper_slots += uint64_t{level} * m32;
+  }
+  if (index.levels_[entry32] != level32) {
+    return corrupt("entry point not on the top level");
+  }
+  const uint64_t layer0_slots = n64 * 2 * m32;
+  if (static_cast<uint64_t>(remaining) - levels_bytes !=
+      (layer0_slots + upper_slots) * sizeof(idx_t)) {
+    return corrupt("payload size mismatch");
+  }
+  index.layer0_.resize(layer0_slots);
+  ok = std::fread(index.layer0_.data(), sizeof(idx_t), layer0_slots, f) ==
+       layer0_slots;
+  ok = ok && RowIdsValid(index.layer0_, index.levels_, 0);
   index.upper_.resize(n64);
   for (size_t v = 0; ok && v < n64; ++v) {
-    index.upper_[v].resize(static_cast<size_t>(index.levels_[v]) * m32);
-    if (!index.upper_[v].empty()) {
-      ok = std::fread(index.upper_[v].data(), sizeof(idx_t),
-                      index.upper_[v].size(), f) == index.upper_[v].size();
+    std::vector<idx_t>& upper = index.upper_[v];
+    upper.resize(static_cast<size_t>(index.levels_[v]) * m32);
+    if (upper.empty()) continue;
+    ok = std::fread(upper.data(), sizeof(idx_t), upper.size(), f) ==
+         upper.size();
+    for (size_t l = 1; ok && l <= index.levels_[v]; ++l) {
+      ok = RowIdsValid(std::span<const idx_t>(upper).subspan((l - 1) * m32,
+                                                             m32),
+                       index.levels_, l);
     }
   }
+  if (!ok) return corrupt("short read or out-of-range neighbour id");
   std::fclose(f);
-  if (!ok) return Status::IOError("short read " + path);
   return index;
 }
 

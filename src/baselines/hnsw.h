@@ -21,7 +21,6 @@
 #include "core/distance.h"
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
-#include "graph/graph_search.h"
 #include "obs/metrics.h"
 
 namespace song {
@@ -85,16 +84,6 @@ class Hnsw {
         level_mult_(1.0) {}
 
   size_t RandomLevel(uint64_t* state) const;
-  // Search one layer with frontier width ef, starting from `entry_points`.
-  std::vector<Neighbor> SearchLayer(const float* query,
-                                    std::vector<Neighbor> entry_points,
-                                    size_t ef, size_t level,
-                                    VisitedBuffer* visited,
-                                    HnswSearchStats* stats) const;
-  // HNSW Algorithm 4: occlusion-pruned selection of up to m neighbors.
-  std::vector<idx_t> SelectNeighborsHeuristic(idx_t for_vertex,
-                                              std::vector<Neighbor> pool,
-                                              size_t m) const;
 
   const idx_t* Row(idx_t v, size_t level) const;
   idx_t* MutableRow(idx_t v, size_t level);

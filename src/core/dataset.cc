@@ -10,8 +10,8 @@ namespace song {
 
 namespace {
 constexpr char kMagic[4] = {'S', 'N', 'G', 'D'};
+}  // namespace
 
-/// Remaining bytes from the current position to EOF, or -1 on seek failure.
 long RemainingBytes(std::FILE* f) {
   const long pos = std::ftell(f);
   if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
@@ -19,8 +19,6 @@ long RemainingBytes(std::FILE* f) {
   if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) return -1;
   return end - pos;
 }
-
-}  // namespace
 
 Dataset::Dataset(size_t num, size_t dim)
     : num_(num), dim_(dim), stride_(PaddedStride(dim)) {

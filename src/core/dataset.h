@@ -13,6 +13,7 @@
 #define SONG_CORE_DATASET_H_
 
 #include <cstddef>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,10 @@ class Dataset {
   size_t stride_ = 0;
   AlignedBuffer<float> data_;
 };
+
+/// Bytes from `f`'s current position to EOF, or -1 on seek failure. The
+/// file loaders size every payload against it before allocating.
+long RemainingBytes(std::FILE* f);
 
 }  // namespace song
 

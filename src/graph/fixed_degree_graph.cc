@@ -4,22 +4,13 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/dataset.h"
 #include "core/fault_injection.h"
 
 namespace song {
 
 namespace {
 constexpr char kMagic[4] = {'S', 'N', 'G', 'G'};
-
-/// Remaining bytes from the current position to EOF, or -1 on seek failure.
-long RemainingBytes(std::FILE* f) {
-  const long pos = std::ftell(f);
-  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
-  const long end = std::ftell(f);
-  if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) return -1;
-  return end - pos;
-}
-
 }  // namespace
 
 FixedDegreeGraph::FixedDegreeGraph(size_t num_vertices, size_t degree)

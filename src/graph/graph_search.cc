@@ -1,60 +1,25 @@
 #include "graph/graph_search.h"
 
-#include <algorithm>
-#include <queue>
-
 namespace song {
 
 std::vector<Neighbor> GraphSearch(const Dataset& data, Metric metric,
                                   const FixedDegreeGraph& graph, idx_t entry,
                                   const float* query, size_t ef, size_t k,
-                                  VisitedBuffer* visited,
+                                  EpochVisitedSet* visited,
                                   GraphSearchStats* stats) {
   SONG_DCHECK(visited != nullptr);
   const DistanceFunc dist = GetDistanceFunc(metric);
   const size_t dim = data.dim();
-  ef = std::max(ef, k);
+  const auto distance = [&](idx_t v) { return dist(query, data.Row(v), dim); };
+  const auto row_of = [&graph](idx_t v) {
+    return std::span<const idx_t>(graph.Row(v), graph.degree());
+  };
 
-  visited->Resize(data.num());
-  visited->NextEpoch();
-
-  // q: min-heap frontier; top: max-heap of the current ef best results.
-  std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>> q;
-  std::priority_queue<Neighbor> top;
-
-  const float entry_dist = dist(query, data.Row(entry), dim);
+  const Neighbor start(distance(entry), entry);
   if (stats != nullptr) ++stats->distance_computations;
-  visited->Set(entry);
-  q.emplace(entry_dist, entry);
-  top.emplace(entry_dist, entry);
-
-  while (!q.empty()) {
-    const Neighbor now = q.top();
-    q.pop();
-    if (stats != nullptr) ++stats->iterations;
-    if (top.size() >= ef && now.dist > top.top().dist) break;
-    if (stats != nullptr) ++stats->hops;
-
-    const idx_t* row = graph.Row(now.id);
-    const size_t degree = graph.degree();
-    for (size_t i = 0; i < degree && row[i] != kInvalidIdx; ++i) {
-      const idx_t v = row[i];
-      if (visited->TestAndSet(v)) continue;
-      const float d = dist(query, data.Row(v), dim);
-      if (stats != nullptr) ++stats->distance_computations;
-      if (top.size() < ef || d < top.top().dist) {
-        q.emplace(d, v);
-        top.emplace(d, v);
-        if (top.size() > ef) top.pop();
-      }
-    }
-  }
-
-  std::vector<Neighbor> out(top.size());
-  for (size_t i = top.size(); i-- > 0;) {
-    out[i] = top.top();
-    top.pop();
-  }
+  std::vector<Neighbor> out =
+      BestFirstSearch(row_of, distance, {&start, 1}, std::max(ef, k),
+                      data.num(), visited, stats);
   if (out.size() > k) out.resize(k);
   return out;
 }

@@ -5,18 +5,14 @@
 
 namespace song {
 
-size_t CountReachable(const FixedDegreeGraph& graph, idx_t entry) {
-  const size_t n = graph.num_vertices();
-  if (n == 0) return 0;
-  std::vector<bool> seen(n, false);
-  std::vector<idx_t> stack;
-  stack.push_back(entry);
+std::vector<bool> ReachableFrom(const FixedDegreeGraph& graph, idx_t entry) {
+  std::vector<bool> seen(graph.num_vertices(), false);
+  if (seen.empty()) return seen;
+  std::vector<idx_t> stack{entry};
   seen[entry] = true;
-  size_t count = 0;
   while (!stack.empty()) {
     const idx_t v = stack.back();
     stack.pop_back();
-    ++count;
     const idx_t* row = graph.Row(v);
     for (size_t i = 0; i < graph.degree() && row[i] != kInvalidIdx; ++i) {
       const idx_t u = row[i];
@@ -26,7 +22,12 @@ size_t CountReachable(const FixedDegreeGraph& graph, idx_t entry) {
       }
     }
   }
-  return count;
+  return seen;
+}
+
+size_t CountReachable(const FixedDegreeGraph& graph, idx_t entry) {
+  const std::vector<bool> seen = ReachableFrom(graph, entry);
+  return static_cast<size_t>(std::count(seen.begin(), seen.end(), true));
 }
 
 GraphStats ComputeGraphStats(const FixedDegreeGraph& graph, idx_t entry) {

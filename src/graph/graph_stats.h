@@ -8,6 +8,8 @@
 
 #include <cstddef>
 
+#include <vector>
+
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
 
@@ -24,6 +26,9 @@ struct GraphStats {
   /// Slot-array bytes (what the GPU would hold in global memory).
   size_t memory_bytes = 0;
 };
+
+/// seen[v]: v is reachable from `entry` following directed edges.
+std::vector<bool> ReachableFrom(const FixedDegreeGraph& graph, idx_t entry);
 
 /// Number of vertices reachable from `entry` following directed edges.
 size_t CountReachable(const FixedDegreeGraph& graph, idx_t entry);

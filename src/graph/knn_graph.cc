@@ -43,7 +43,7 @@ FixedDegreeGraph BuildApproxKnnGraph(const Dataset& data, Metric metric,
   const size_t n = data.num();
   FixedDegreeGraph g(n, k);
   ParallelFor(n, num_threads, [&](size_t v, size_t) {
-    thread_local VisitedBuffer visited;
+    thread_local EpochVisitedSet visited;
     std::vector<Neighbor> nn =
         GraphSearch(data, metric, nsw, /*entry=*/0,
                     data.Row(static_cast<idx_t>(v)),

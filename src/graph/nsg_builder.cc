@@ -2,56 +2,35 @@
 
 #include <algorithm>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "core/sync.h"
 #include "core/thread_pool.h"
 #include "graph/graph_search.h"
+#include "graph/graph_stats.h"
 #include "graph/knn_graph.h"
 
 namespace song {
 
 namespace {
 
-// Search on the kNN graph from `entry`, returning ALL visited vertices with
+// Search on the kNN graph from `entry`, returning ALL scored vertices with
 // their distances (NSG collects the whole visited pool, not just the top-L).
 std::vector<Neighbor> CollectPool(const Dataset& data, Metric metric,
                                   const FixedDegreeGraph& knn, idx_t entry,
                                   const float* query, size_t l,
-                                  VisitedBuffer* visited) {
+                                  EpochVisitedSet* visited) {
   const DistanceFunc dist = GetDistanceFunc(metric);
   const size_t dim = data.dim();
-  visited->Resize(data.num());
-  visited->NextEpoch();
-
-  std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>> q;
-  std::priority_queue<Neighbor> top;
+  const auto distance = [&](idx_t v) { return dist(query, data.Row(v), dim); };
+  const auto row_of = [&knn](idx_t v) {
+    return std::span<const idx_t>(knn.Row(v), knn.degree());
+  };
   std::vector<Neighbor> pool;
-
-  const float entry_dist = dist(query, data.Row(entry), dim);
-  visited->Set(entry);
-  q.emplace(entry_dist, entry);
-  top.emplace(entry_dist, entry);
-  pool.emplace_back(entry_dist, entry);
-
-  while (!q.empty()) {
-    const Neighbor now = q.top();
-    q.pop();
-    if (top.size() >= l && now.dist > top.top().dist) break;
-    const idx_t* row = knn.Row(now.id);
-    for (size_t i = 0; i < knn.degree() && row[i] != kInvalidIdx; ++i) {
-      const idx_t v = row[i];
-      if (visited->TestAndSet(v)) continue;
-      const float d = dist(query, data.Row(v), dim);
-      pool.emplace_back(d, v);
-      if (top.size() < l || d < top.top().dist) {
-        q.emplace(d, v);
-        top.emplace(d, v);
-        if (top.size() > l) top.pop();
-      }
-    }
-  }
+  const Neighbor start(distance(entry), entry);
+  BestFirstSearch(row_of, distance, {&start, 1}, l, data.num(), visited,
+                  /*stats=*/nullptr, TraverseAll{},
+                  [&pool](const Neighbor& n) { pool.push_back(n); });
   return pool;
 }
 
@@ -105,7 +84,7 @@ NsgIndex NsgBuilder::Build(const Dataset& data, Metric metric,
     for (size_t d = 0; d < dim; ++d) mean[d] += row[d];
   }
   for (size_t d = 0; d < dim; ++d) mean[d] /= static_cast<float>(n);
-  VisitedBuffer medoid_visited;
+  EpochVisitedSet medoid_visited;
   const std::vector<Neighbor> medoid_result =
       GraphSearch(data, metric, knn, /*entry=*/0, mean.data(),
                   options.search_l, /*k=*/1, &medoid_visited);
@@ -114,7 +93,7 @@ NsgIndex NsgBuilder::Build(const Dataset& data, Metric metric,
   // Pass 1: MRNG selection per vertex over (search pool ∪ kNN row).
   std::vector<std::vector<idx_t>> adjacency(n);
   ParallelFor(n, options.num_threads, [&](size_t v, size_t) {
-    thread_local VisitedBuffer visited;
+    thread_local EpochVisitedSet visited;
     const idx_t p = static_cast<idx_t>(v);
     std::vector<Neighbor> pool = CollectPool(
         data, metric, knn, navigating, data.Row(p), options.search_l,
@@ -168,24 +147,9 @@ NsgIndex NsgBuilder::Build(const Dataset& data, Metric metric,
   // Pass 3: connectivity repair. BFS from the navigating node; every
   // unreachable vertex gets an edge from its nearest reachable vertex.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    std::vector<bool> seen(n, false);
-    std::vector<idx_t> stack{navigating};
-    seen[navigating] = true;
-    size_t reached = 0;
-    while (!stack.empty()) {
-      const idx_t v = stack.back();
-      stack.pop_back();
-      ++reached;
-      const idx_t* row = graph.Row(v);
-      for (size_t i = 0; i < graph.degree() && row[i] != kInvalidIdx; ++i) {
-        if (!seen[row[i]]) {
-          seen[row[i]] = true;
-          stack.push_back(row[i]);
-        }
-      }
-    }
-    if (reached == n) break;
-    VisitedBuffer visited;
+    const std::vector<bool> seen = ReachableFrom(graph, navigating);
+    if (std::find(seen.begin(), seen.end(), false) == seen.end()) break;
+    EpochVisitedSet visited;
     for (size_t v = 0; v < n; ++v) {
       if (seen[v]) continue;
       // Nearest reachable vertex to v via a search on the current graph

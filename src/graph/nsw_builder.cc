@@ -4,7 +4,6 @@
 #include <atomic>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <set>
 #include <utility>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/thread_pool.h"
 #include "core/types.h"
 #include "graph/graph_search.h"
+#include "graph/graph_stats.h"
 
 namespace song {
 
@@ -95,52 +95,6 @@ class LockedGraph {
   std::unique_ptr<Mutex[]> locks_;
 };
 
-// Best-first search over the build-time graph, traversing only vertices
-// whose insertion has been published via `inserted`.
-std::vector<Neighbor> BuildTimeSearch(
-    const Dataset& data, Metric metric, LockedGraph& graph, idx_t entry,
-    const float* query, size_t ef,
-    const std::vector<std::atomic<bool>>& inserted, VisitedBuffer* visited,
-    std::vector<idx_t>& row_buf) {
-  const DistanceFunc dist = GetDistanceFunc(metric);
-  const size_t dim = data.dim();
-  visited->Resize(data.num());
-  visited->NextEpoch();
-
-  std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>> q;
-  std::priority_queue<Neighbor> top;
-
-  const float entry_dist = dist(query, data.Row(entry), dim);
-  visited->Set(entry);
-  q.emplace(entry_dist, entry);
-  top.emplace(entry_dist, entry);
-
-  while (!q.empty()) {
-    const Neighbor now = q.top();
-    q.pop();
-    if (top.size() >= ef && now.dist > top.top().dist) break;
-    const size_t count = graph.SnapshotRow(now.id, row_buf.data());
-    for (size_t i = 0; i < count; ++i) {
-      const idx_t v = row_buf[i];
-      if (!inserted[v].load(std::memory_order_acquire)) continue;
-      if (visited->TestAndSet(v)) continue;
-      const float d = dist(query, data.Row(v), dim);
-      if (top.size() < ef || d < top.top().dist) {
-        q.emplace(d, v);
-        top.emplace(d, v);
-        if (top.size() > ef) top.pop();
-      }
-    }
-  }
-
-  std::vector<Neighbor> out(top.size());
-  for (size_t i = top.size(); i-- > 0;) {
-    out[i] = top.top();
-    top.pop();
-  }
-  return out;
-}
-
 }  // namespace
 
 // Occlusion-pruned neighbor selection (the HNSW "heuristic", Algorithm 4 of
@@ -198,12 +152,25 @@ FixedDegreeGraph NswBuilder::Build(const Dataset& data, Metric metric,
   std::vector<std::atomic<bool>> inserted(n);
   inserted[0].store(true, std::memory_order_release);
 
-  auto insert_one = [&](idx_t v, VisitedBuffer& visited,
+  // Construction-time search from the entry vertex over the in-flux graph,
+  // traversing only vertices whose insertion has been published.
+  const auto is_inserted = [&](idx_t u) {
+    return inserted[u].load(std::memory_order_acquire);
+  };
+  auto insert_one = [&](idx_t v, EpochVisitedSet& visited,
                         std::vector<idx_t>& row_buf) {
     const float* point = data.Row(v);
+    const auto row_of = [&](idx_t u) {
+      return std::span<const idx_t>(row_buf.data(),
+                                    graph.SnapshotRow(u, row_buf.data()));
+    };
+    const auto distance = [&](idx_t u) {
+      return dist(point, data.Row(u), dim);
+    };
+    const Neighbor entry(distance(0), 0);
     std::vector<Neighbor> found =
-        BuildTimeSearch(data, metric, graph, /*entry=*/0, point,
-                        options.ef_construction, inserted, &visited, row_buf);
+        BestFirstSearch(row_of, distance, {&entry, 1}, options.ef_construction,
+                        n, &visited, /*stats=*/nullptr, is_inserted);
     const std::vector<idx_t> own = SelectDiverse(data, metric, v, found, m);
     graph.SetRow(v, own);
     inserted[v].store(true, std::memory_order_release);
@@ -226,13 +193,13 @@ FixedDegreeGraph NswBuilder::Build(const Dataset& data, Metric metric,
   const size_t warmup =
       std::min(n - 1, std::max<size_t>(degree * 32, n / 20));
   {
-    VisitedBuffer visited;
+    EpochVisitedSet visited;
     std::vector<idx_t> row_buf(degree);
     for (idx_t v = 1; v <= warmup; ++v) insert_one(v, visited, row_buf);
   }
 
   ParallelFor(n - 1 - warmup, options.num_threads, [&](size_t job, size_t) {
-    thread_local VisitedBuffer visited;
+    thread_local EpochVisitedSet visited;
     thread_local std::vector<idx_t> row_buf;
     row_buf.resize(degree);
     insert_one(static_cast<idx_t>(job + 1 + warmup), visited, row_buf);
@@ -264,23 +231,8 @@ void NswBuilder::RepairConnectivity(const Dataset& data, Metric metric,
   // (adversarial case: many orphans all pointing at one full hub).
   idx_t spare_anchor = 0;
   for (int round = 0; round < 64; ++round) {
-    std::vector<bool> seen(n, false);
-    std::vector<idx_t> stack{0};
-    seen[0] = true;
-    size_t reached = 0;
-    while (!stack.empty()) {
-      const idx_t v = stack.back();
-      stack.pop_back();
-      ++reached;
-      const idx_t* row = graph->Row(v);
-      for (size_t i = 0; i < graph->degree() && row[i] != kInvalidIdx; ++i) {
-        if (!seen[row[i]]) {
-          seen[row[i]] = true;
-          stack.push_back(row[i]);
-        }
-      }
-    }
-    if (reached == n) return;
+    std::vector<bool> seen = ReachableFrom(*graph, 0);
+    if (std::find(seen.begin(), seen.end(), false) == seen.end()) return;
     if (!seen[spare_anchor]) spare_anchor = 0;  // must stay reachable
     for (size_t vi = 0; vi < n; ++vi) {
       if (seen[vi]) continue;

@@ -107,22 +107,6 @@ FixedDegreeGraph PermuteGraph(const FixedDegreeGraph& graph,
   return out;
 }
 
-CsrGraph PermuteCsr(const CsrGraph& graph, const GraphPermutation& perm) {
-  const size_t n = graph.num_vertices();
-  SONG_CHECK(perm.size() == n);
-  std::vector<std::vector<idx_t>> adjacency(n);
-  for (idx_t old_v = 0; old_v < static_cast<idx_t>(n); ++old_v) {
-    size_t count = 0;
-    const idx_t* neighbors = graph.Neighbors(old_v, &count);
-    std::vector<idx_t>& row = adjacency[perm.old_to_new[old_v]];
-    row.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      row.push_back(perm.old_to_new[neighbors[i]]);
-    }
-  }
-  return CsrGraph::FromAdjacency(adjacency);
-}
-
 Dataset PermuteDataset(const Dataset& data, const GraphPermutation& perm) {
   SONG_CHECK(perm.size() == data.num());
   Dataset out(data.num(), data.dim());

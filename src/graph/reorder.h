@@ -21,7 +21,6 @@
 
 #include "core/dataset.h"
 #include "core/types.h"
-#include "graph/csr_graph.h"
 #include "graph/fixed_degree_graph.h"
 #include "song/search_options.h"
 
@@ -47,9 +46,6 @@ GraphPermutation ComputeReorder(const FixedDegreeGraph& graph,
 /// {perm.old_to_new[u] : u in graph.Row(v)}, neighbor order preserved.
 FixedDegreeGraph PermuteGraph(const FixedDegreeGraph& graph,
                               const GraphPermutation& perm);
-
-/// Same relabeling for the CSR ablation representation.
-CsrGraph PermuteCsr(const CsrGraph& graph, const GraphPermutation& perm);
 
 /// Row perm.old_to_new[v] of the result is row v of `data`.
 Dataset PermuteDataset(const Dataset& data, const GraphPermutation& perm);

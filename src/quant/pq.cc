@@ -98,15 +98,6 @@ bool WriteVec(std::FILE* f, const std::vector<T>& v) {
   return n == 0 || std::fwrite(v.data(), sizeof(T), v.size(), f) == v.size();
 }
 
-/// Remaining bytes between the current position and EOF; < 0 on seek error.
-int64_t RemainingBytes(std::FILE* f) {
-  const long pos = std::ftell(f);
-  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
-  const long end = std::ftell(f);
-  if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) return -1;
-  return static_cast<int64_t>(end - pos);
-}
-
 /// Length-prefixed vector read, bounded by the bytes actually left in the
 /// stream: a stomped 2^62 count fails cleanly instead of driving a giant
 /// allocation (the hostile-header contract of the corrupt-file fuzz suite).

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/request_timeline.h"
 #include "song/visited_table.h"
 
 namespace song {
@@ -182,7 +183,6 @@ struct SongSearchOptions {
   /// storing strings. Stable across runs on the same build; two requests
   /// share a digest iff they ran the same (options, k).
   uint64_t Digest(size_t k) const {
-    uint64_t h = 0xcbf29ce484222325ull;
     const uint64_t knobs[] = {static_cast<uint64_t>(k),
                               static_cast<uint64_t>(queue_size),
                               static_cast<uint64_t>(structure),
@@ -198,12 +198,8 @@ struct SongSearchOptions {
                               cost_budget,
                               static_cast<uint64_t>(quant),
                               static_cast<uint64_t>(rerank_depth)};
-    for (const uint64_t v : knobs) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= 0x100000001b3ull;
-      }
-    }
+    uint64_t h = obs::kFnv1aOffset;
+    for (const uint64_t v : knobs) h = obs::Fnv1aMix(h, v);
     return h;
   }
 };

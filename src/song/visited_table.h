@@ -9,12 +9,11 @@
 #ifndef SONG_SONG_VISITED_TABLE_H_
 #define SONG_SONG_VISITED_TABLE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "core/epoch_visited_set.h"
 #include "core/logging.h"
 #include "core/status.h"
 #include "song/bloom_filter.h"
@@ -101,9 +100,7 @@ class VisitedTable {
         cuckoo_.Reset(capacity);
         break;
       case VisitedStructure::kEpochArray:
-        if (stamps_.size() < capacity) stamps_.assign(capacity, 0);
-        epoch_size_ = 0;
-        NextEpoch();
+        epoch_.Reset(capacity);
         break;
     }
   }
@@ -120,8 +117,7 @@ class VisitedTable {
         cuckoo_.Clear();
         break;
       case VisitedStructure::kEpochArray:
-        epoch_size_ = 0;
-        NextEpoch();
+        epoch_.Reset(last_capacity_);
         break;
     }
   }
@@ -135,7 +131,7 @@ class VisitedTable {
       case VisitedStructure::kCuckooFilter:
         return cuckoo_.Contains(key);
       case VisitedStructure::kEpochArray:
-        return key < stamps_.size() && stamps_[key] == epoch_;
+        return epoch_.Test(key);
     }
     return false;
   }
@@ -152,10 +148,7 @@ class VisitedTable {
       case VisitedStructure::kCuckooFilter:
         return cuckoo_.Insert(key);
       case VisitedStructure::kEpochArray:
-        if (key >= stamps_.size() || stamps_[key] == epoch_) return false;
-        stamps_[key] = epoch_;
-        ++epoch_size_;
-        return true;
+        return epoch_.Insert(key);
     }
     return false;
   }
@@ -177,10 +170,7 @@ class VisitedTable {
         cuckoo_.Erase(key);
         break;
       case VisitedStructure::kEpochArray:
-        if (key < stamps_.size() && stamps_[key] == epoch_) {
-          stamps_[key] = 0;
-          --epoch_size_;
-        }
+        epoch_.Erase(key);
         break;
     }
   }
@@ -194,7 +184,7 @@ class VisitedTable {
       case VisitedStructure::kCuckooFilter:
         return cuckoo_.MemoryBytes();
       case VisitedStructure::kEpochArray:
-        return stamps_.size() * sizeof(uint32_t);
+        return epoch_.MemoryBytes();
     }
     return 0;
   }
@@ -208,7 +198,7 @@ class VisitedTable {
       case VisitedStructure::kCuckooFilter:
         return cuckoo_.size();
       case VisitedStructure::kEpochArray:
-        return epoch_size_;
+        return epoch_.size();
     }
     return 0;
   }
@@ -216,22 +206,13 @@ class VisitedTable {
   VisitedStructure structure() const { return structure_; }
 
  private:
-  void NextEpoch() {
-    if (++epoch_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
   VisitedStructure structure_ = VisitedStructure::kHashTable;
   size_t last_capacity_ = ~size_t{0};
   size_t last_bloom_bits_ = ~size_t{0};
   OpenAddressingSet hash_;
   BloomFilter bloom_;
   CuckooFilter cuckoo_;
-  std::vector<uint32_t> stamps_;
-  uint32_t epoch_ = 0;
-  size_t epoch_size_ = 0;
+  EpochVisitedSet epoch_;
 };
 
 }  // namespace song

@@ -110,25 +110,80 @@ struct GraphFixture {
   }
 };
 
-// ---- VisitedBuffer ----
+// ---- EpochVisitedSet ----
 
-TEST(VisitedBuffer, EpochSemantics) {
-  VisitedBuffer v;
-  v.Resize(10);
-  v.NextEpoch();
+TEST(EpochVisitedSet, EpochSemantics) {
+  EpochVisitedSet v;
+  v.Reset(10);
   EXPECT_FALSE(v.Test(3));
-  v.Set(3);
+  EXPECT_TRUE(v.Insert(3));
   EXPECT_TRUE(v.Test(3));
-  v.NextEpoch();
+  v.Reset(10);
   EXPECT_FALSE(v.Test(3));
 }
 
-TEST(VisitedBuffer, TestAndSet) {
-  VisitedBuffer v;
-  v.Resize(4);
-  v.NextEpoch();
-  EXPECT_FALSE(v.TestAndSet(2));
-  EXPECT_TRUE(v.TestAndSet(2));
+TEST(EpochVisitedSet, InsertIsTestAndSet) {
+  EpochVisitedSet v;
+  v.Reset(4);
+  EXPECT_TRUE(v.Insert(2));
+  EXPECT_FALSE(v.Insert(2));
+}
+
+TEST(EpochVisitedSet, OutOfRangeIdsAreRefusedNotIndexed) {
+  EpochVisitedSet v;
+  v.Reset(4);
+  EXPECT_FALSE(v.Insert(4));
+  EXPECT_FALSE(v.Insert(kInvalidIdx));
+  EXPECT_FALSE(v.Test(4));
+  v.Erase(4);
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_EQ(v.MemoryBytes(), 4 * sizeof(uint32_t));
+}
+
+TEST(EpochVisitedSet, EraseAndSizeTrackMembers) {
+  EpochVisitedSet v;
+  v.Reset(8);
+  EXPECT_TRUE(v.Insert(1));
+  EXPECT_TRUE(v.Insert(5));
+  EXPECT_FALSE(v.Insert(5));
+  EXPECT_EQ(v.size(), 2u);
+  v.Erase(5);
+  EXPECT_FALSE(v.Test(5));
+  EXPECT_EQ(v.size(), 1u);
+  v.Erase(5);  // erasing an absent id is a no-op
+  v.Erase(6);
+  EXPECT_EQ(v.size(), 1u);
+  EXPECT_TRUE(v.Insert(5));  // an erased id can be marked again
+  EXPECT_EQ(v.size(), 2u);
+  v.Reset(8);
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_FALSE(v.Test(1));
+}
+
+TEST(EpochVisitedSet, SmallerResetKeepsCoverage) {
+  EpochVisitedSet v;
+  v.Reset(16);
+  v.Reset(4);
+  EXPECT_TRUE(v.Insert(12));
+  EXPECT_EQ(v.MemoryBytes(), 16 * sizeof(uint32_t));
+}
+
+TEST(EpochVisitedSet, EpochWrapAroundRezeroesStaleStamps) {
+  // 8-bit stamps wrap after 255 resets. A stamp written at epoch 1 and left
+  // untouched must not read as visited when the epoch comes back to 1.
+  BasicEpochVisitedSet<uint8_t> v;
+  v.Reset(4);
+  ASSERT_TRUE(v.Insert(0));  // stamped with epoch 1
+  for (int i = 0; i < 254; ++i) v.Reset(4);  // epochs 2 .. 255
+  ASSERT_TRUE(v.Insert(1));  // stamped with epoch 255
+  v.Reset(4);                // wraps to 0, re-zeroes, restarts at 1
+  EXPECT_FALSE(v.Test(0));
+  EXPECT_FALSE(v.Test(1));
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_TRUE(v.Insert(0));
+  EXPECT_TRUE(v.Test(0));
+  v.Reset(4);
+  EXPECT_FALSE(v.Test(0));
 }
 
 // ---- NSW builder ----
@@ -153,7 +208,7 @@ TEST(NswBuilder, ParallelBuildIsAlsoSearchable) {
   opts.num_threads = 4;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
   EXPECT_EQ(CountReachable(g, 0), fx.data.num());
-  VisitedBuffer visited;
+  EpochVisitedSet visited;
   std::vector<std::vector<idx_t>> results(fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const auto found =
@@ -197,7 +252,7 @@ TEST(GraphSearch, FindsExactNeighborsOnGoodGraph) {
   opts.ef_construction = 200;
   opts.num_threads = 1;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
-  VisitedBuffer visited;
+  EpochVisitedSet visited;
   std::vector<std::vector<idx_t>> results(fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const auto found =
@@ -214,7 +269,7 @@ TEST(GraphSearch, StatsAreCollected) {
   NswBuildOptions opts;
   opts.num_threads = 1;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
-  VisitedBuffer visited;
+  EpochVisitedSet visited;
   GraphSearchStats stats;
   GraphSearch(fx.data, Metric::kL2, g, 0, fx.queries.Row(0), 32, 10,
               &visited, &stats);
@@ -228,7 +283,7 @@ TEST(GraphSearch, EfOneStillReturnsResults) {
   NswBuildOptions opts;
   opts.num_threads = 1;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
-  VisitedBuffer visited;
+  EpochVisitedSet visited;
   const auto found = GraphSearch(fx.data, Metric::kL2, g, 0,
                                  fx.queries.Row(0), 1, 1, &visited);
   ASSERT_EQ(found.size(), 1u);
@@ -305,7 +360,7 @@ TEST(NsgBuilder, SearchFromNavigatingNodeHasGoodRecall) {
   opts.degree = 16;
   opts.num_threads = 2;
   const NsgIndex nsg = NsgBuilder::Build(fx.data, Metric::kL2, opts);
-  VisitedBuffer visited;
+  EpochVisitedSet visited;
   std::vector<std::vector<idx_t>> results(fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const auto found = GraphSearch(fx.data, Metric::kL2, nsg.graph,

@@ -115,22 +115,6 @@ TEST(ReorderTest, PermuteGraphPreservesEdges) {
   }
 }
 
-TEST(ReorderTest, PermuteCsrMatchesPermutedFixedDegree) {
-  const FixedDegreeGraph g = MakeRingGraph(24, 4);
-  const GraphPermutation perm =
-      ComputeReorder(g, GraphReorder::kDegreeDescending);
-  const CsrGraph csr = CsrGraph::FromFixedDegree(g);
-  const CsrGraph pcsr = PermuteCsr(csr, perm);
-  const FixedDegreeGraph pg = PermuteGraph(g, perm);
-  ASSERT_EQ(pcsr.num_vertices(), pg.num_vertices());
-  ASSERT_EQ(pcsr.num_edges(), csr.num_edges());
-  for (idx_t v = 0; v < 24; ++v) {
-    size_t count = 0;
-    const idx_t* nbrs = pcsr.Neighbors(v, &count);
-    EXPECT_EQ(std::vector<idx_t>(nbrs, nbrs + count), pg.Neighbors(v));
-  }
-}
-
 TEST(ReorderTest, PermuteDatasetMovesRows) {
   Dataset data(6, 5);
   std::vector<float> row(5);

@@ -1,5 +1,5 @@
 // Corrupted-bytes fuzz over every on-disk format (SNGD datasets, SNGG
-// fixed-degree graphs, SNGC CSR graphs): hundreds of deterministic
+// fixed-degree graphs, SNGH HNSW indexes): hundreds of deterministic
 // truncations, bit flips, extensions and header scrambles, each of which
 // must come back as an error Status (or as a still-valid load) — never a
 // crash, OOM, or sanitizer report. This is the acceptance gate for the
@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/hnsw.h"
 #include "core/dataset.h"
-#include "graph/csr_graph.h"
 #include "graph/fixed_degree_graph.h"
 #include "graph/nsw_builder.h"
 #include "gtest/gtest.h"
@@ -88,10 +88,11 @@ std::vector<uint8_t> Mutate(const std::vector<uint8_t>& pristine,
 struct FuzzFixture {
   std::string dataset_path;
   std::string graph_path;
-  std::string csr_path;
+  std::string hnsw_path;
+  Dataset data;
   std::vector<uint8_t> dataset_bytes;
   std::vector<uint8_t> graph_bytes;
-  std::vector<uint8_t> csr_bytes;
+  std::vector<uint8_t> hnsw_bytes;
 
   static const FuzzFixture& Get() {
     static FuzzFixture* f = [] {
@@ -99,9 +100,10 @@ struct FuzzFixture {
       const std::string dir = ::testing::TempDir();
       fx->dataset_path = dir + "/corrupt_fuzz.sngd";
       fx->graph_path = dir + "/corrupt_fuzz.sngg";
-      fx->csr_path = dir + "/corrupt_fuzz.sngc";
+      fx->hnsw_path = dir + "/corrupt_fuzz.sngh";
 
-      Dataset data(200, 16);
+      Dataset& data = fx->data;
+      data = Dataset(200, 16);
       std::mt19937_64 rng(0x51a7e57);
       std::vector<float> row(16);
       for (size_t i = 0; i < data.num(); ++i) {
@@ -117,11 +119,14 @@ struct FuzzFixture {
       nsw.num_threads = 1;
       const FixedDegreeGraph graph = NswBuilder::Build(data, Metric::kL2, nsw);
       EXPECT_TRUE(graph.Save(fx->graph_path).ok());
-      EXPECT_TRUE(CsrGraph::FromFixedDegree(graph).Save(fx->csr_path).ok());
+      HnswBuildOptions hnsw;
+      hnsw.m = 4;  // small m: several upper levels over 200 points
+      hnsw.num_threads = 1;
+      EXPECT_TRUE(Hnsw(&data, Metric::kL2, hnsw).Save(fx->hnsw_path).ok());
 
       fx->dataset_bytes = ReadAll(fx->dataset_path);
       fx->graph_bytes = ReadAll(fx->graph_path);
-      fx->csr_bytes = ReadAll(fx->csr_path);
+      fx->hnsw_bytes = ReadAll(fx->hnsw_path);
       return fx;
     }();
     return *f;
@@ -171,15 +176,22 @@ TEST(HarnessCorruptFileFuzz, FixedDegreeGraphLoadNeverCrashes) {
   std::remove(path.c_str());
 }
 
-TEST(HarnessCorruptFileFuzz, CsrGraphLoadNeverCrashes) {
+TEST(HarnessCorruptFileFuzz, HnswLoadNeverCrashes) {
   const FuzzFixture& fx = FuzzFixture::Get();
-  std::mt19937_64 rng(0xC54);
-  const std::string path = fx.csr_path + ".mut";
+  std::mt19937_64 rng(0x5A6B);
+  const std::string path = fx.hnsw_path + ".mut";
   for (size_t round = 0; round < kRoundsPerFormat; ++round) {
-    WriteAll(path, Mutate(fx.csr_bytes, rng));
-    StatusOr<CsrGraph> loaded = CsrGraph::Load(path);
+    WriteAll(path, Mutate(fx.hnsw_bytes, rng));
+    StatusOr<Hnsw> loaded = Hnsw::Load(path, &fx.data, Metric::kL2);
     if (loaded.ok()) {
-      EXPECT_TRUE(loaded->Validate().ok()) << "round " << round;
+      // A surviving load must search without touching out-of-range rows
+      // (ASan turns any stray read into a failure here).
+      EXPECT_LT(loaded->entry_point(), fx.data.num()) << "round " << round;
+      for (idx_t q = 0; q < 5; ++q) {
+        for (const Neighbor& n : loaded->Search(fx.data.Row(q), 5, 16)) {
+          ASSERT_LT(n.id, fx.data.num()) << "round " << round;
+        }
+      }
     } else {
       EXPECT_FALSE(loaded.status().message().empty()) << "round " << round;
     }
@@ -191,7 +203,7 @@ TEST(HarnessCorruptFileFuzz, PristineFilesRoundTrip) {
   const FuzzFixture& fx = FuzzFixture::Get();
   EXPECT_TRUE(Dataset::Load(fx.dataset_path).ok());
   EXPECT_TRUE(FixedDegreeGraph::Load(fx.graph_path).ok());
-  EXPECT_TRUE(CsrGraph::Load(fx.csr_path).ok());
+  EXPECT_TRUE(Hnsw::Load(fx.hnsw_path, &fx.data, Metric::kL2).ok());
 }
 
 TEST(HarnessCorruptFileFuzz, MissingFileIsStatusNotCrash) {
@@ -200,8 +212,10 @@ TEST(HarnessCorruptFileFuzz, MissingFileIsStatusNotCrash) {
   const StatusOr<FixedDegreeGraph> g =
       FixedDegreeGraph::Load("/nonexistent/dir/x.sngg");
   EXPECT_FALSE(g.ok());
-  const StatusOr<CsrGraph> c = CsrGraph::Load("/nonexistent/dir/x.sngc");
-  EXPECT_FALSE(c.ok());
+  const StatusOr<Hnsw> h =
+      Hnsw::Load("/nonexistent/dir/x.sngh", &FuzzFixture::Get().data,
+                 Metric::kL2);
+  EXPECT_FALSE(h.ok());
 }
 
 }  // namespace

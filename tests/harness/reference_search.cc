@@ -1,6 +1,9 @@
 #include "harness/reference_search.h"
 
 #include <algorithm>
+#include <iterator>
+#include <set>
+#include <unordered_set>
 
 #include "harness/oracles.h"
 
@@ -99,6 +102,51 @@ ReferenceSearchResult ReferenceSongSearch(
 
   out.results = topk.Sorted();
   if (out.results.size() > k) out.results.resize(k);
+  return out;
+}
+
+ReferenceBestFirstResult ReferenceBestFirstSearch(
+    const FixedDegreeGraph& graph, const std::vector<Neighbor>& entries,
+    size_t ef, const std::function<float(idx_t)>& distance,
+    const std::function<bool(idx_t)>& may_traverse) {
+  ef = std::max<size_t>(ef, 1);
+  std::set<Neighbor> frontier;
+  std::set<Neighbor> top;
+  std::unordered_set<idx_t> visited;
+  ReferenceBestFirstResult out;
+
+  // Adds a scored vertex to both lists, dropping the top list's worst once
+  // it holds more than ef.
+  const auto admit = [&](const Neighbor& n) {
+    frontier.insert(n);
+    top.insert(n);
+    if (top.size() > ef) top.erase(std::prev(top.end()));
+  };
+  for (const Neighbor& ep : entries) {
+    if (!visited.insert(ep.id).second) continue;
+    out.scored.push_back(ep);
+    admit(ep);
+  }
+  while (!frontier.empty()) {
+    const Neighbor now = *frontier.begin();
+    frontier.erase(frontier.begin());
+    ++out.iterations;
+    // Stop once the closest unexpanded vertex is strictly worse than the
+    // worst of a full top list.
+    if (top.size() >= ef && now.dist > top.rbegin()->dist) break;
+    ++out.hops;
+    const idx_t* row = graph.Row(now.id);
+    for (size_t i = 0; i < graph.degree() && row[i] != kInvalidIdx; ++i) {
+      const idx_t v = row[i];
+      if (!may_traverse(v)) continue;
+      if (!visited.insert(v).second) continue;
+      const Neighbor cand(distance(v), v);
+      out.visit_order.push_back(v);
+      out.scored.push_back(cand);
+      if (top.size() < ef || cand.dist < top.rbegin()->dist) admit(cand);
+    }
+  }
+  out.results.assign(top.begin(), top.end());
   return out;
 }
 

@@ -38,6 +38,27 @@ ReferenceSearchResult ReferenceSongSearch(
     const SongSearchOptions& options, size_t visited_capacity,
     const std::function<float(idx_t)>& distance);
 
+/// Textbook paper Algorithm 1 (the best-first search of NSW / HNSW / NSG),
+/// one neighbour at a time: test-and-mark visited, score, accept. Frontier,
+/// top list and visited set are std::set / std::unordered_set, so it shares
+/// no code with graph/graph_search.h's BestFirstSearch, which must match it
+/// on every recorded sequence.
+struct ReferenceBestFirstResult {
+  std::vector<Neighbor> results;   ///< the best min(ef, admitted), ascending
+  std::vector<idx_t> visit_order;  ///< every distance computation, in order
+  std::vector<Neighbor> scored;    ///< admitted entries, then every scored
+                                   ///< vertex, in order
+  size_t iterations = 0;           ///< frontier pops
+  size_t hops = 0;                 ///< pops that expanded their row
+};
+
+/// `entries` are pre-scored and admitted unless already seen; vertices with
+/// !may_traverse(v) are neither scored nor marked. ef is clamped up to 1.
+ReferenceBestFirstResult ReferenceBestFirstSearch(
+    const FixedDegreeGraph& graph, const std::vector<Neighbor>& entries,
+    size_t ef, const std::function<float(idx_t)>& distance,
+    const std::function<bool(idx_t)>& may_traverse);
+
 /// Exact top-k by exhaustive scan over [0, num_points) — the ground truth
 /// for recall-based metamorphic properties.
 std::vector<Neighbor> BruteForceTopK(

@@ -115,6 +115,15 @@ TEST(RequestRecord, MakePopulatesEveryField) {
   EXPECT_EQ(r.shards_total, 0u);
 }
 
+TEST(RequestRecord, OptionsDigestIsPinned) {
+  // Flight-recorder records identify a request's configuration by this
+  // digest, so its value must not move when its implementation does.
+  EXPECT_EQ(SongSearchOptions{}.Digest(10), 14834059008325651118ull);
+  EXPECT_EQ(SongSearchOptions::CpuEngineered().Digest(10),
+            2867894406917121421ull);
+  EXPECT_NE(SongSearchOptions{}.Digest(10), SongSearchOptions{}.Digest(11));
+}
+
 TEST(RequestMetricsFamily, HistogramsTelescopeAndOutcomesCount) {
   obs::MetricsRegistry registry;
   const obs::RequestMetrics metrics(&registry);

@@ -111,7 +111,7 @@ TEST(SongSearcher, MatchesReferenceGraphSearch) {
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   SongSearchOptions options;
   options.queue_size = 64;
-  VisitedBuffer visited;
+  EpochVisitedSet visited;
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const float* query = fx.queries.Row(static_cast<idx_t>(q));
     const auto song = searcher.Search(query, 10, options);

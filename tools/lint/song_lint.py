@@ -37,6 +37,12 @@ Clang Thread Safety Analysis build (docs/static_analysis.md):
                      Status and StatusOr (the repo-wide discard guarantee
                      hangs off those two tokens).
 
+  one-search-loop    No std::priority_queue<Neighbor, ..., std::greater<>>
+                     min-heap frontier in src/ except the one in
+                     graph/graph_search.h's BestFirstSearch (paper
+                     Algorithm 1). Builders and baselines instantiate that
+                     loop instead of writing another copy.
+
 Usage:
   tools/lint/song_lint.py [--root DIR] [--self-test] [--list-rules]
 
@@ -99,6 +105,12 @@ SEQ_ACCESS = re.compile(r"\.\s*seq\s*\.\s*(load|store|fetch|exchange|compare)")
 SEQ_FILES = ("flight_recorder.h", "flight_recorder.cc")
 
 NODISCARD_STATUS_FILE = os.path.join("src", "core", "status.h")
+
+# A best-first frontier: a min-heap of Neighbor (std::greater ordering).
+MIN_HEAP_FRONTIER = re.compile(
+    r"\bstd::priority_queue\s*<\s*Neighbor\b[^;]*\bstd::greater\b")
+# The one file that may hold it, and it must hold exactly one.
+SEARCH_LOOP_FILE = os.path.join("src", "graph", "graph_search.h")
 
 
 @dataclass
@@ -183,7 +195,10 @@ def collect_files(root: str, subdir: str = "src"):
                 yield os.path.relpath(full, root), full
 
 
-def lint_file(relpath: str, text: str, seen_hot_regions: set):
+def lint_file(relpath: str, text: str, seen_hot_regions: set,
+              frontiers: list | None = None):
+    """Lints one file. Min-heap frontiers found in SEARCH_LOOP_FILE are
+    appended to `frontiers` (for the tree-level exactly-one check)."""
     violations = []
     in_hot = False
     hot_name = ""
@@ -258,6 +273,18 @@ def lint_file(relpath: str, text: str, seen_hot_regions: set):
                 "'.status().ok();' computed and dropped — handle the error "
                 "or use SONG_IGNORE_ERROR(...)"))
 
+        # one-search-loop: the only min-heap frontier is BestFirstSearch's.
+        if MIN_HEAP_FRONTIER.search(code):
+            if relpath == SEARCH_LOOP_FILE:
+                if frontiers is not None:
+                    frontiers.append(lineno)
+            else:
+                violations.append(Violation(
+                    "one-search-loop", relpath, lineno,
+                    "min-heap best-first frontier outside "
+                    "graph/graph_search.h — instantiate BestFirstSearch "
+                    "instead of writing another Algorithm-1 loop"))
+
         # seqlock-discipline: Slot::seq only inside seqlock regions.
         if os.path.basename(relpath).endswith(SEQ_FILES) and not in_seq:
             if SEQ_ACCESS.search(code):
@@ -281,6 +308,7 @@ def lint_file(relpath: str, text: str, seen_hot_regions: set):
 def lint_tree(root: str):
     violations = []
     seen_hot_regions: set = set()
+    frontiers: list = []
 
     for relpath, full in collect_files(root):
         try:
@@ -289,7 +317,15 @@ def lint_tree(root: str):
         except OSError as err:
             violations.append(Violation("io", relpath, 0, str(err)))
             continue
-        violations.extend(lint_file(relpath, text, seen_hot_regions))
+        violations.extend(lint_file(relpath, text, seen_hot_regions,
+                                    frontiers))
+
+    # one-search-loop: BestFirstSearch keeps exactly one frontier.
+    if len(frontiers) != 1:
+        violations.append(Violation(
+            "one-search-loop", SEARCH_LOOP_FILE, 0,
+            f"expected exactly one min-heap frontier (BestFirstSearch), "
+            f"found {len(frontiers)}"))
 
     # hot-path: the load-bearing regions must exist.
     for name in sorted(REQUIRED_HOT_REGIONS - seen_hot_regions):
@@ -348,15 +384,18 @@ def self_test() -> int:
     run_one("bad_status_discard.cc", ["status-discard"])
     run_one("bad_seqlock.flight_recorder.cc", ["seqlock-discipline"])
     run_one("bad_unterminated.cc", ["hot-path"])
+    run_one("bad_search_loop.cc", ["one-search-loop"])
     run_one("good_clean.cc", [])
 
     # The real tree must carry the required hot-path regions.
     root = os.path.normpath(os.path.join(here, "..", ".."))
     tree = lint_tree(root)
-    structural = [v for v in tree if v.rule == "hot-path" and v.line == 0]
+    structural = [v for v in tree
+                  if v.rule in ("hot-path", "one-search-loop")
+                  and v.line == 0]
     if structural:
         failures.append(
-            "required hot-path regions missing from the tree: "
+            "required regions / search loop missing from the tree: "
             + "; ".join(str(v) for v in structural))
 
     if failures:
@@ -365,7 +404,7 @@ def self_test() -> int:
             print("  " + f)
         return 1
     print("song_lint self-test passed "
-          "(7 fixtures, required regions present).")
+          "(8 fixtures, required regions and search loop present).")
     return 0
 
 
@@ -382,7 +421,8 @@ def main() -> int:
 
     if args.list_rules:
         for rule in ("raw-sync", "hot-path", "status-discard",
-                     "seqlock-discipline", "nodiscard-status"):
+                     "seqlock-discipline", "nodiscard-status",
+                     "one-search-loop"):
             print(rule)
         return 0
 
