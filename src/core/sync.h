@@ -32,7 +32,6 @@
 #ifndef SONG_CORE_SYNC_H_
 #define SONG_CORE_SYNC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -223,20 +222,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock, std::move(pred));
     lock.release();
-  }
-
-  /// Atomically releases `mu` and blocks up to `micros`; reacquires before
-  /// returning. Returns false when the wait timed out (spurious wakeups and
-  /// notifications both return true — callers re-check their predicate under
-  /// the lock either way). The serving tier's continuous-batching linger
-  /// (src/serve/request_queue.cc) is the canonical user.
-  bool WaitFor(Mutex& mu, uint64_t micros) SONG_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const bool notified =
-        cv_.wait_for(lock, std::chrono::microseconds(micros)) ==
-        std::cv_status::no_timeout;
-    lock.release();
-    return notified;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -117,10 +117,9 @@ void EmitRequestRecord(const RequestObserver& observer,
   if (observer.metrics == nullptr && observer.recorder == nullptr) return;
   RequestTimeline tl;
   tl.enqueue_us = 0.0;
-  tl.admitted_us = static_cast<double>(observer.queue_us);
-  tl.batched_us = tl.admitted_us;
+  tl.batched_us = static_cast<double>(observer.queue_us);
   tl.search_begin_us =
-      tl.admitted_us + static_cast<double>(observer.batch_form_us);
+      tl.batched_us + static_cast<double>(observer.batch_form_us);
   tl.complete_us = tl.search_begin_us + static_cast<double>(search_us);
   const RequestRecord rec =
       RequestRecord::Make(observer.request_id, options_digest, tl, code,

@@ -2,10 +2,10 @@
 //
 // Request-lifecycle observability (ROADMAP item 1's prerequisite telemetry):
 // where does a request spend its life between arrival and completion? A
-// RequestTimeline carries monotonic stage stamps (enqueue -> admitted ->
-// batched -> search-begin -> degraded/complete) recorded by the batch
-// engine's checked TrySearch path and by single-query serving loops; the
-// derived per-stage durations feed the song.req.* histograms and the
+// RequestTimeline carries monotonic stage stamps (enqueue -> batched ->
+// search-begin -> degraded/complete) recorded by the serving tier, by the
+// batch engine's checked TrySearch path and by single-query serving loops;
+// the derived per-stage durations feed the song.req.* histograms and the
 // flight-recorder records (obs/flight_recorder.h).
 //
 // Stage attribution telescopes: total_us is computed as the float sum
@@ -46,24 +46,24 @@ inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
 
 /// Monotonic stage stamps for one request, in microseconds relative to a
 /// caller-chosen epoch (the batch engine stamps against one Timer started at
-/// TrySearch entry, shared read-only across worker threads).
+/// TrySearch entry, shared read-only across worker threads; the server
+/// against its own start).
 ///
-///   enqueue      request arrival (TrySearch entry)
-///   admitted     admission control passed (queue wait ends)
-///   batched      a worker claimed the query (batch formation ends)
-///   search_begin validation passed, Search is about to run
+///   enqueue      request arrival (frame decoded / TrySearch entry)
+///   batched      a worker claimed the request (queue wait ends)
+///   search_begin its search is about to run (batch formation ends)
 ///   complete     Search returned (degraded or not) or validation rejected
 struct RequestTimeline {
   double enqueue_us = 0.0;
-  double admitted_us = 0.0;
   double batched_us = 0.0;
   double search_begin_us = 0.0;
   double complete_us = 0.0;
 
-  /// Admission wait: enqueue -> admitted.
-  float QueueUs() const { return Stage(enqueue_us, admitted_us); }
-  /// Batch formation + worker claim + validation: admitted -> search_begin.
-  float BatchFormUs() const { return Stage(admitted_us, search_begin_us); }
+  /// Queue wait: enqueue -> batched, until a worker claims the request.
+  float QueueUs() const { return Stage(enqueue_us, batched_us); }
+  /// Batch formation: batched -> search_begin — dispatch, validation and
+  /// the wait behind batchmates that search before this request.
+  float BatchFormUs() const { return Stage(batched_us, search_begin_us); }
   /// The search itself: search_begin -> complete.
   float SearchUs() const { return Stage(search_begin_us, complete_us); }
   /// Float sum of the three stages, so per-stage histograms telescope

@@ -3,14 +3,14 @@
 #include <utility>
 
 #include "core/logging.h"
-#include "core/timer.h"
 
 namespace song::serve {
 
 RequestQueue::RequestQueue(size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1) {}
 
-Status RequestQueue::Push(std::unique_ptr<PendingRequest>& request) {
+Status RequestQueue::Push(std::unique_ptr<PendingRequest>& request,
+                          size_t* depth) {
   SONG_CHECK(request != nullptr);
   MutexLock lock(mu_);
   if (closed_) {
@@ -22,26 +22,24 @@ Status RequestQueue::Push(std::unique_ptr<PendingRequest>& request) {
         std::to_string(capacity_) + " slots");
   }
   queue_.push_back(std::move(request));
+  if (depth != nullptr) *depth = queue_.size();
   nonempty_.NotifyOne();
   return Status::OK();
 }
 
 size_t RequestQueue::PopBatch(std::unique_ptr<PendingRequest>* out,
-                              size_t max_batch, uint64_t max_wait_us) {
+                              size_t max_batch, size_t* depth) {
   if (max_batch == 0) return 0;
   MutexLock lock(mu_);
   while (queue_.empty() && !closed_) nonempty_.Wait(mu_);
-  if (queue_.empty()) return 0;  // closed and drained: worker-exit signal
   size_t n = 0;
-  const BatchKey key = KeyOf(*queue_.front());
-  // song-lint: begin-hot-path(serve-batch-form)
-  // Continuous batching under the queue mutex: every queued request and
-  // every other worker waits on this loop, so it is allocation- and
-  // logging-free. Sweep claims compatible requests in arrival order; the
-  // linger then blocks for the *remaining* slice of max_wait_us so late
-  // arrivals can top the batch up without a fixed-size wait.
-  Timer linger;
-  for (;;) {
+  if (!queue_.empty()) {
+    const BatchKey key = KeyOf(*queue_.front());
+    // song-lint: begin-hot-path(serve-batch-form)
+    // Work-conserving claim under the queue mutex: every queued request and
+    // every other worker waits on this sweep, so it is allocation- and
+    // logging-free. It takes the compatible requests already queued, in
+    // arrival order, and never waits for more.
     for (auto it = queue_.begin(); it != queue_.end() && n < max_batch;) {
       if (KeyOf(**it) == key) {
         out[n] = std::move(*it);
@@ -51,14 +49,10 @@ size_t RequestQueue::PopBatch(std::unique_ptr<PendingRequest>* out,
         ++it;
       }
     }
-    if (n >= max_batch || closed_ || max_wait_us == 0) break;
-    const double elapsed = linger.ElapsedMicros();
-    const double budget = static_cast<double>(max_wait_us);
-    if (elapsed >= budget) break;
-    nonempty_.WaitFor(mu_, static_cast<uint64_t>(budget - elapsed));
+    // song-lint: end-hot-path
   }
-  // song-lint: end-hot-path
-  return n;
+  if (depth != nullptr) *depth = queue_.size();
+  return n;  // 0 only when closed and drained: the worker-exit signal
 }
 
 void RequestQueue::Close() {

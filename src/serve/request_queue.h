@@ -1,16 +1,15 @@
 // Copyright 2026 The SONG-Repro Authors.
 //
 // The serving tier's admission queue: a bounded, lock-annotated MPMC queue
-// of pending search requests, plus the continuous-batching claim primitive
-// the scheduler workers drive. Connection reader threads Push decoded
-// requests; scheduler workers PopBatch — claim the oldest request, sweep
-// every queued request that can share its batch (same k / ef / cost budget
-// and the same deadline-ness), then linger up to `max_wait_us` for more to
-// arrive instead of waiting for a fixed batch size. That linger is the
-// continuous-batching idea (ROADMAP item 1, after ScaleLLM and Johnson et
-// al.): batch occupancy rides the offered load, so light traffic pays
-// near-zero batching latency and heavy traffic fills max_batch-sized
-// batches.
+// of pending search requests, plus the work-conserving batching claim the
+// scheduler workers drive. Connection reader threads Push decoded requests;
+// scheduler workers PopBatch — block only while the queue is empty, then
+// claim the oldest request, sweep every queued request that can share its
+// batch (same k / ef / cost budget and the same deadline-ness) in arrival
+// order, and return at once. An idle worker never holds work back waiting
+// for a fuller batch: batches grow only from the backlog that builds while
+// every worker is busy, so light traffic runs batches of one and heavy
+// traffic fills max_batch-sized batches.
 //
 // Backpressure is explicit: Push on a full queue is kResourceExhausted and
 // Push after Close() is kUnavailable — the caller turns either into an
@@ -45,7 +44,6 @@ struct PendingRequest {
   uint64_t cost_budget = 0;  ///< search work-unit budget, 0 = none
   std::vector<float> query;
   double enqueue_us = 0.0;   ///< frame decoded
-  double admitted_us = 0.0;  ///< queue accepted it (admission passed)
   double batched_us = 0.0;   ///< a scheduler worker claimed it
   double deadline_at_us = 0.0;  ///< enqueue + deadline, 0 = no deadline
   /// Response destination. Holding the shared_ptr keeps the connection's
@@ -87,16 +85,19 @@ class RequestQueue {
 
   /// Enqueues or refuses: kResourceExhausted when full (shed), kUnavailable
   /// after Close() (draining). Never blocks. On refusal `request` keeps its
-  /// ownership so the caller can settle it with a shed response.
-  Status Push(std::unique_ptr<PendingRequest>& request) SONG_EXCLUDES(mu_);
+  /// ownership so the caller can settle it with a shed response. `depth`,
+  /// when set, receives the queue depth the call left behind.
+  Status Push(std::unique_ptr<PendingRequest>& request,
+              size_t* depth = nullptr) SONG_EXCLUDES(mu_);
 
-  /// Blocks until at least one request is queued (or the queue is closed
-  /// and empty — returns 0, the worker-exit signal). Claims up to
-  /// `max_batch` requests compatible with the oldest one into `out[0..n)`,
-  /// lingering up to `max_wait_us` for late arrivals to join. `out` must
-  /// have room for `max_batch` entries.
+  /// Blocks while the queue is empty (returns 0 once it is closed and empty
+  /// — the worker-exit signal). Then claims the oldest request plus every
+  /// queued request compatible with it, in arrival order and up to
+  /// `max_batch` in all, into `out[0..n)` and returns without waiting for
+  /// more. `out` must have room for `max_batch` entries. `depth`, when set,
+  /// receives the queue depth the claim left behind.
   size_t PopBatch(std::unique_ptr<PendingRequest>* out, size_t max_batch,
-                  uint64_t max_wait_us) SONG_EXCLUDES(mu_);
+                  size_t* depth = nullptr) SONG_EXCLUDES(mu_);
 
   /// Drain entry: refuses new pushes; PopBatch keeps claiming until empty,
   /// then returns 0. Idempotent.

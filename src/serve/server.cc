@@ -517,8 +517,8 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
                   /*rejected=*/false, now, now);
     return;
   }
-  request->admitted_us = NowUs();
-  const Status pushed = queue_.Push(request);
+  size_t depth = 0;
+  const Status pushed = queue_.Push(request, &depth);
   if (!pushed.ok()) {
     // Queue full (or closed by a racing drain): immediate retryable shed,
     // never a silent drop.
@@ -529,7 +529,7 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
     return;
   }
   if (g_queue_depth_ != nullptr) {
-    g_queue_depth_->Set(static_cast<double>(queue_.Size()));
+    g_queue_depth_->Set(static_cast<double>(depth));
   }
 }
 
@@ -538,11 +538,11 @@ void SongServer::WorkerLoop() {
   std::vector<size_t> live;
   live.reserve(options_.max_batch);
   for (;;) {
-    const size_t n =
-        queue_.PopBatch(batch.data(), options_.max_batch, options_.max_wait_us);
+    size_t depth = 0;
+    const size_t n = queue_.PopBatch(batch.data(), options_.max_batch, &depth);
     if (n == 0) return;  // closed and drained
     if (g_queue_depth_ != nullptr) {
-      g_queue_depth_->Set(static_cast<double>(queue_.Size()));
+      g_queue_depth_->Set(static_cast<double>(depth));
     }
     const double claim_us = NowUs();
     live.clear();
@@ -614,9 +614,6 @@ void SongServer::WorkerLoop() {
     }
 
     const double dispatch_us = NowUs();
-    for (const size_t i : live) {
-      batch[i]->batched_us = claim_us;
-    }
     BatchTelemetry telemetry;
     telemetry.registry = registry_;
     // The server stamps its own RequestTimeline covering the full network
@@ -646,18 +643,22 @@ void SongServer::WorkerLoop() {
     const double end_us = NowUs();
     for (size_t j = 0; j < live.size(); ++j) {
       PendingRequest* request = batch[live[j]].get();
+      // Query j's search starts at its own offset into the batch, so the
+      // time it spent behind batchmates 0..j-1 counts as batch formation.
+      const double search_begin_us =
+          dispatch_us + static_cast<double>(br.start_offsets_us[j]);
+      const double complete_us = std::min(
+          search_begin_us + static_cast<double>(br.latencies_us[j]), end_us);
       if (br.rejected[j] != 0) {
         SettleRequest(request,
                       Status::InvalidArgument(
                           "query rejected by validation (NaN/Inf values)"),
                       Outcome::kError, nullptr, /*degraded=*/false,
-                      /*rejected=*/true, dispatch_us, end_us);
+                      /*rejected=*/true, search_begin_us, complete_us);
       } else {
-        const double complete_us =
-            dispatch_us + static_cast<double>(br.latencies_us[j]);
         SettleRequest(request, Status::OK(), Outcome::kOk, &br.results[j],
-                      br.degraded[j] != 0, /*rejected=*/false, dispatch_us,
-                      std::min(complete_us, end_us));
+                      br.degraded[j] != 0, /*rejected=*/false,
+                      search_begin_us, complete_us);
       }
       batch[live[j]].reset();
     }
@@ -673,8 +674,7 @@ void SongServer::SettleRequest(PendingRequest* request, const Status& status,
   // batching (their later stages collapse to zero-width).
   obs::RequestTimeline timeline;
   timeline.enqueue_us = request->enqueue_us;
-  timeline.admitted_us = std::max(request->admitted_us, timeline.enqueue_us);
-  timeline.batched_us = std::max(request->batched_us, timeline.admitted_us);
+  timeline.batched_us = std::max(request->batched_us, timeline.enqueue_us);
   timeline.search_begin_us = std::max(search_begin_us, timeline.batched_us);
   timeline.complete_us = std::max(complete_us, timeline.search_begin_us);
 
@@ -748,8 +748,6 @@ std::string SongServer::ServeStatusJson() const {
   Appendf(&out, "\"queue_depth\": %zu, ", queue_.Size());
   Appendf(&out, "\"queue_capacity\": %zu, ", options_.queue_capacity);
   Appendf(&out, "\"max_batch\": %zu, ", options_.max_batch);
-  Appendf(&out, "\"max_wait_us\": %llu, ",
-          static_cast<unsigned long long>(options_.max_wait_us));
   Appendf(&out, "\"max_inflight\": %zu, ", options_.max_inflight);
   Appendf(&out, "\"num_workers\": %zu, ", options_.num_workers);
   Appendf(&out, "\"accepted\": %llu, ",

@@ -2,20 +2,20 @@
 //
 // The fault-tolerant serving front-end (docs/serving.md): a framed TCP
 // server wrapping BatchEngine behind the admission queue and a
-// continuous-batching scheduler. Design contract — every failure path is a
-// Status, never a crash, and every accepted request settles in exactly one
-// accounted outcome:
+// work-conserving batching scheduler. Design contract — every failure path
+// is a Status, never a crash, and every accepted request settles in exactly
+// one accounted outcome:
 //
 //   song.serve.accepted == song.serve.outcome.ok + .shed + .deadline + .error
 //
 // Threads: one accept loop, one reader + one writer per connection, and
 // `num_workers` scheduler workers. Readers decode frames and Push; workers
-// PopBatch (continuous batching), triage queue-expired deadlines, dispatch
-// through BatchEngine::TrySearch, and settle every claimed request. Writers
-// drain per-connection outboxes so a slow client stalls only its own
-// socket, never a scheduler worker. A client disconnect does not lose
-// accounting: the request still settles (its response write fails and is
-// counted in song.serve.write_errors).
+// PopBatch (an idle worker claims queued work at once), triage
+// queue-expired deadlines, dispatch through BatchEngine::TrySearch, and
+// settle every claimed request. Writers drain per-connection outboxes so a
+// slow client stalls only its own socket, never a scheduler worker. A
+// client disconnect does not lose accounting: the request still settles
+// (its response write fails and is counted in song.serve.write_errors).
 //
 // Drain (SIGTERM/SIGINT in the song_server binary): RequestDrain() stops
 // admission — readers shed new search requests with kUnavailable — then
@@ -53,7 +53,6 @@ struct ServerOptions {
   size_t max_connections = 64;
   size_t queue_capacity = 256;   ///< pending requests before shedding
   size_t max_batch = 32;         ///< scheduler batch ceiling
-  uint64_t max_wait_us = 2000;   ///< continuous-batching linger
   size_t num_workers = 2;        ///< scheduler threads (0 = test-only: queue
                                  ///< drains as shed at Drain())
   size_t engine_threads = 0;     ///< BatchEngine workers, 0 = hardware

@@ -155,8 +155,7 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
     obs::RequestTimeline tl;
     const double now = clock.ElapsedMicros();
     tl.enqueue_us = 0.0;
-    tl.admitted_us = tl.batched_us = tl.search_begin_us = tl.complete_us =
-        now;
+    tl.batched_us = tl.search_begin_us = tl.complete_us = now;
     obs::RequestRecord rec = obs::RequestRecord::Make(
         id_base, options.Digest(k), tl, status.code(), /*degraded=*/false,
         rejected);
@@ -216,7 +215,6 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
   LifecycleContext lifecycle;
   lifecycle.clock = &clock;
   lifecycle.enqueue_us = 0.0;
-  lifecycle.admitted_us = clock.ElapsedMicros();
   lifecycle.request_id_base = id_base;
   lifecycle.options_digest = options.Digest(k);
   BatchResult batch = RunBatch(queries, k, options, telemetry,
@@ -235,6 +233,7 @@ BatchResult BatchEngine::RunBatch(const Dataset& queries, size_t k,
   batch.num_queries = queries.num();
   batch.results.resize(queries.num());
   batch.latencies_us.resize(queries.num());
+  batch.start_offsets_us.resize(queries.num());
   batch.degraded.assign(queries.num(), 0);
   batch.rejected.assign(queries.num(), 0);
 
@@ -257,7 +256,6 @@ BatchResult BatchEngine::RunBatch(const Dataset& queries, size_t k,
     obs::RequestTimeline tl;
     if (lifecycle != nullptr) {
       tl.enqueue_us = lifecycle->enqueue_us;
-      tl.admitted_us = lifecycle->admitted_us;
       tl.batched_us = lifecycle->clock->ElapsedMicros();
     }
     auto emit = [&](StatusCode code, bool degraded, bool rejected) {
@@ -275,6 +273,7 @@ BatchResult BatchEngine::RunBatch(const Dataset& queries, size_t k,
       if (!vs.ok()) {
         batch.rejected[qi] = 1;
         batch.latencies_us[qi] = 0.0f;
+        batch.start_offsets_us[qi] = static_cast<float>(timer.ElapsedMicros());
         if (lifecycle != nullptr) {
           tl.search_begin_us = tl.complete_us =
               lifecycle->clock->ElapsedMicros();
@@ -289,12 +288,14 @@ BatchResult BatchEngine::RunBatch(const Dataset& queries, size_t k,
     if (lifecycle != nullptr) {
       tl.search_begin_us = lifecycle->clock->ElapsedMicros();
     }
-    Timer query_timer;
+    const double begin_us = timer.ElapsedMicros();
     batch.results[qi] =
         searcher_->Search(query, k, options, &workspaces[tid],
                           &thread_stats[tid], traced ? &trace : nullptr,
                           &degraded);
-    batch.latencies_us[qi] = static_cast<float>(query_timer.ElapsedMicros());
+    batch.latencies_us[qi] =
+        static_cast<float>(timer.ElapsedMicros() - begin_us);
+    batch.start_offsets_us[qi] = static_cast<float>(begin_us);
     if (lifecycle != nullptr) {
       tl.complete_us = lifecycle->clock->ElapsedMicros();
     }

@@ -65,6 +65,11 @@ struct BatchResult {
   size_t num_queries = 0;
   /// Per-query service times in microseconds (same order as `results`).
   std::vector<float> latencies_us;
+  /// Per-query start offsets in microseconds after the batch's worker
+  /// fan-out began (same order as `results`): when query q's search started,
+  /// or when validation rejected it. With one engine thread, query q's
+  /// offset includes the time spent behind queries 0..q-1.
+  std::vector<float> start_offsets_us;
   /// Sampled per-query traces (empty unless BatchTelemetry enabled them).
   std::vector<obs::SearchTrace> traces;
   /// Traces discarded after `max_traces` was reached.
@@ -144,7 +149,6 @@ class BatchEngine {
   struct LifecycleContext {
     const Timer* clock = nullptr;
     double enqueue_us = 0.0;
-    double admitted_us = 0.0;
     uint64_t request_id_base = 0;
     uint64_t options_digest = 0;
   };

@@ -92,8 +92,7 @@ namespace {
 RequestRecord MakeRecord(uint64_t request_id) {
   RequestTimeline tl;
   tl.enqueue_us = 0.0;
-  tl.admitted_us = 1.5;
-  tl.batched_us = 2.0;
+  tl.batched_us = 1.5;
   tl.search_begin_us = 2.25;
   tl.complete_us = 10.0;
   RequestRecord r = RequestRecord::Make(request_id, 0xabcdef1234ull, tl,
@@ -179,9 +178,9 @@ TEST(FlightRecorder, ToJsonCarriesSchemaCapacityAndStatusNames) {
 // matter which writers' payloads got interleaved.
 RequestRecord DerivedRecord(uint64_t request_id) {
   RequestTimeline tl;
-  tl.admitted_us = static_cast<double>(request_id % 997);
-  tl.search_begin_us = tl.admitted_us;  // batch_form = 0
-  tl.complete_us = tl.admitted_us + static_cast<double>(request_id % 89);
+  tl.batched_us = static_cast<double>(request_id % 997);
+  tl.search_begin_us = tl.batched_us;  // batch_form = 0
+  tl.complete_us = tl.batched_us + static_cast<double>(request_id % 89);
   return RequestRecord::Make(request_id, request_id * 2654435761ull, tl,
                              StatusCode::kOk, /*degraded=*/false,
                              /*rejected=*/false,

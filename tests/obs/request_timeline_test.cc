@@ -67,12 +67,13 @@ bool SameNeighbors(const std::vector<Neighbor>& a,
 TEST(RequestTimeline, StagesClampToZeroAndTotalTelescopes) {
   obs::RequestTimeline tl;
   tl.enqueue_us = 0.0;
-  tl.admitted_us = 3.25;
   tl.batched_us = 4.0;
   tl.search_begin_us = 5.5;
   tl.complete_us = 105.5;
-  EXPECT_FLOAT_EQ(tl.QueueUs(), 3.25f);
-  EXPECT_FLOAT_EQ(tl.BatchFormUs(), 2.25f);
+  // Queue wait runs to the worker's claim, batch formation from the claim
+  // to the search's start.
+  EXPECT_FLOAT_EQ(tl.QueueUs(), 4.0f);
+  EXPECT_FLOAT_EQ(tl.BatchFormUs(), 1.5f);
   EXPECT_FLOAT_EQ(tl.SearchUs(), 100.0f);
   // TotalUs is defined as the float sum of the stages, so the telescoping
   // identity the validator enforces holds exactly per record.
@@ -84,8 +85,8 @@ TEST(RequestTimeline, StagesClampToZeroAndTotalTelescopes) {
   // negative — histograms must never see a negative duration.
   obs::RequestTimeline skewed;
   skewed.enqueue_us = 10.0;
-  skewed.admitted_us = 12.0;
-  skewed.search_begin_us = 11.0;  // before admitted: clamps
+  skewed.batched_us = 12.0;
+  skewed.search_begin_us = 11.0;  // before batched: clamps
   skewed.complete_us = 11.5;
   EXPECT_FLOAT_EQ(skewed.QueueUs(), 2.0f);
   EXPECT_FLOAT_EQ(skewed.BatchFormUs(), 0.0f);
@@ -95,7 +96,7 @@ TEST(RequestTimeline, StagesClampToZeroAndTotalTelescopes) {
 
 TEST(RequestRecord, MakePopulatesEveryField) {
   obs::RequestTimeline tl;
-  tl.admitted_us = 1.0;
+  tl.batched_us = 1.0;
   tl.search_begin_us = 2.0;
   tl.complete_us = 5.0;
   const obs::RequestRecord r = obs::RequestRecord::Make(
@@ -134,8 +135,7 @@ TEST(RequestMetricsFamily, HistogramsTelescopeAndOutcomesCount) {
   constexpr int kRecords = 200;
   for (int i = 0; i < kRecords; ++i) {
     obs::RequestTimeline tl;
-    tl.admitted_us = dist(rng);
-    tl.batched_us = tl.admitted_us + dist(rng);
+    tl.batched_us = dist(rng);
     tl.search_begin_us = tl.batched_us + dist(rng);
     tl.complete_us = tl.search_begin_us + dist(rng);
     const StatusCode code =

@@ -1,8 +1,11 @@
-// Tests for the serving tier's admission queue and continuous-batching
+// Tests for the serving tier's admission queue and work-conserving batching
 // claim primitive (src/serve/request_queue.h): FIFO claim order, key
-// compatibility grouping, the linger that tops up in-flight batches,
-// explicit backpressure (full / closed), and the drain protocol.
+// compatibility grouping, claims that never wait for a fuller batch, the
+// depth each call leaves behind, explicit backpressure (full / closed), and
+// the drain protocol.
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -33,7 +36,7 @@ TEST(RequestQueue, ClaimsInArrivalOrder) {
     ASSERT_TRUE(queue.Push(r).ok());
   }
   std::vector<std::unique_ptr<PendingRequest>> out(8);
-  const size_t n = queue.PopBatch(out.data(), 8, /*max_wait_us=*/0);
+  const size_t n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 5u);
   for (uint64_t i = 0; i < 5; ++i) EXPECT_EQ(out[i]->request_id, i);
   EXPECT_EQ(queue.Size(), 0u);
@@ -74,11 +77,11 @@ TEST(RequestQueue, IncompatibleKeysStayQueued) {
   ASSERT_TRUE(queue.Push(b).ok());
   ASSERT_TRUE(queue.Push(c).ok());
   std::vector<std::unique_ptr<PendingRequest>> out(8);
-  size_t n = queue.PopBatch(out.data(), 8, 0);
+  size_t n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 2u);  // 1 and 3 share the key; 2 must wait its turn
   EXPECT_EQ(out[0]->request_id, 1u);
   EXPECT_EQ(out[1]->request_id, 3u);
-  n = queue.PopBatch(out.data(), 8, 0);
+  n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 1u);
   EXPECT_EQ(out[0]->request_id, 2u);
 }
@@ -90,54 +93,97 @@ TEST(RequestQueue, DeadlineFreeNeverBatchesWithDeadlineCarrying) {
   ASSERT_TRUE(queue.Push(a).ok());
   ASSERT_TRUE(queue.Push(b).ok());
   std::vector<std::unique_ptr<PendingRequest>> out(8);
-  const size_t n = queue.PopBatch(out.data(), 8, 0);
+  const size_t n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 1u);
   EXPECT_EQ(out[0]->request_id, 1u);
 }
 
-TEST(RequestQueue, LingerPicksUpLateArrivals) {
-  RequestQueue queue(8);
-  auto first = MakeRequest(1);
-  ASSERT_TRUE(queue.Push(first).ok());
-  std::thread late([&queue]() {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    auto r = MakeRequest(2);
-    ASSERT_TRUE(queue.Push(r).ok());
-  });
-  std::vector<std::unique_ptr<PendingRequest>> out(8);
-  // A generous linger (500 ms) so the 5 ms late arrival lands well inside
-  // it even on a loaded CI machine; the batch must contain both.
-  const size_t n = queue.PopBatch(out.data(), 8, 500000);
-  late.join();
-  ASSERT_EQ(n, 2u);
-  EXPECT_EQ(out[0]->request_id, 1u);
-  EXPECT_EQ(out[1]->request_id, 2u);
-}
-
-TEST(RequestQueue, ZeroLingerReturnsImmediately) {
+TEST(RequestQueue, LoneRequestIsClaimedAsABatchOfOne) {
   RequestQueue queue(8);
   auto r = MakeRequest(1);
-  ASSERT_TRUE(queue.Push(r).ok());
-  Timer timer;
-  std::vector<std::unique_ptr<PendingRequest>> out(8);
-  const size_t n = queue.PopBatch(out.data(), 8, 0);
-  EXPECT_EQ(n, 1u);
-  EXPECT_LT(timer.ElapsedMicros(), 100000.0);
+  size_t depth = 99;
+  ASSERT_TRUE(queue.Push(r, &depth).ok());
+  EXPECT_EQ(depth, 1u);
+  // Room for 32, but nothing else is queued: the claim returns the lone
+  // request at once instead of waiting for batchmates.
+  std::vector<std::unique_ptr<PendingRequest>> out(32);
+  depth = 99;
+  const size_t n = queue.PopBatch(out.data(), 32, &depth);
+  ASSERT_EQ(n, 1u);
+  EXPECT_EQ(out[0]->request_id, 1u);
+  EXPECT_EQ(depth, 0u);
 }
 
-TEST(RequestQueue, FullBatchSkipsTheLinger) {
-  RequestQueue queue(8);
-  for (uint64_t i = 0; i < 3; ++i) {
-    auto r = MakeRequest(i);
-    ASSERT_TRUE(queue.Push(r).ok());
+TEST(RequestQueue, SweepsQueuedCompatibleRequestsUpToMaxBatch) {
+  RequestQueue queue(16);
+  size_t depth = 0;
+  for (uint64_t i = 0; i < 7; ++i) {
+    // Request 2 carries a different ef and must be skipped, not claimed.
+    auto r = MakeRequest(i, /*k=*/10, /*ef=*/i == 2 ? 128 : 64);
+    ASSERT_TRUE(queue.Push(r, &depth).ok());
+    EXPECT_EQ(depth, i + 1);
   }
-  Timer timer;
-  std::vector<std::unique_ptr<PendingRequest>> out(3);
-  // max_batch already satisfied by queued work: the (long) linger must not
-  // be paid at all.
-  const size_t n = queue.PopBatch(out.data(), 3, 5000000);
-  EXPECT_EQ(n, 3u);
-  EXPECT_LT(timer.ElapsedMicros(), 1000000.0);
+  std::vector<std::unique_ptr<PendingRequest>> out(4);
+  size_t n = queue.PopBatch(out.data(), 4, &depth);
+  ASSERT_EQ(n, 4u);
+  EXPECT_EQ(out[0]->request_id, 0u);
+  EXPECT_EQ(out[1]->request_id, 1u);
+  EXPECT_EQ(out[2]->request_id, 3u);
+  EXPECT_EQ(out[3]->request_id, 4u);
+  EXPECT_EQ(depth, 3u);  // 2, 5 and 6 are left behind
+  n = queue.PopBatch(out.data(), 4, &depth);
+  ASSERT_EQ(n, 1u);
+  EXPECT_EQ(out[0]->request_id, 2u);
+  EXPECT_EQ(depth, 2u);
+  n = queue.PopBatch(out.data(), 4, &depth);
+  ASSERT_EQ(n, 2u);
+  EXPECT_EQ(out[0]->request_id, 5u);
+  EXPECT_EQ(out[1]->request_id, 6u);
+  EXPECT_EQ(depth, 0u);
+}
+
+TEST(RequestQueue, IdleClaimerTakesNewWorkWhileTheOtherHoldsABatch) {
+  RequestQueue queue(8);
+  std::atomic<int> claimed{0};
+  std::atomic<bool> release{false};
+  std::vector<size_t> sizes(2, 0);
+  std::vector<uint64_t> ids(2, 0);
+  // Two claimers blocked on an empty queue; each claims one batch and then
+  // holds it (stays out of PopBatch) until the test releases them.
+  std::vector<std::thread> claimers;
+  claimers.reserve(2);
+  for (int c = 0; c < 2; ++c) {
+    claimers.emplace_back([&, c]() {
+      std::vector<std::unique_ptr<PendingRequest>> out(32);
+      sizes[c] = queue.PopBatch(out.data(), 32);
+      if (sizes[c] > 0) ids[c] = out[0]->request_id;
+      claimed.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  auto wait_for_claims = [&claimed](int want) {
+    Timer wait;
+    while (claimed.load() < want && wait.ElapsedSeconds() < 10.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return claimed.load();
+  };
+  auto a = MakeRequest(1);
+  ASSERT_TRUE(queue.Push(a).ok());
+  EXPECT_EQ(wait_for_claims(1), 1);
+  // One claimer holds request 1. The next push must reach the other,
+  // still-blocked claimer at once rather than wait for the first batch.
+  auto b = MakeRequest(2);
+  ASSERT_TRUE(queue.Push(b).ok());
+  EXPECT_EQ(wait_for_claims(2), 2);
+  release.store(true);
+  queue.Close();  // frees a claimer left blocked by a failure above
+  for (std::thread& t : claimers) t.join();
+  EXPECT_EQ(sizes[0], 1u);
+  EXPECT_EQ(sizes[1], 1u);
+  EXPECT_EQ(ids[0] + ids[1], 3u);  // one claimed request 1, the other 2
 }
 
 TEST(RequestQueue, CloseWakesBlockedWorkers) {
@@ -148,7 +194,7 @@ TEST(RequestQueue, CloseWakesBlockedWorkers) {
   for (int w = 0; w < 3; ++w) {
     workers.emplace_back([&queue, &exited]() {
       std::vector<std::unique_ptr<PendingRequest>> out(4);
-      while (queue.PopBatch(out.data(), 4, 1000) != 0) {
+      while (queue.PopBatch(out.data(), 4) != 0) {
         for (auto& r : out) r.reset();
       }
       exited.fetch_add(1);
@@ -187,7 +233,7 @@ TEST(RequestQueue, ConcurrentPushersAndClaimersConserveRequests) {
     claimers.emplace_back([&]() {
       std::vector<std::unique_ptr<PendingRequest>> out(16);
       for (;;) {
-        const size_t n = queue.PopBatch(out.data(), 16, 200);
+        const size_t n = queue.PopBatch(out.data(), 16);
         if (n == 0) return;  // closed and empty
         claimed.fetch_add(n);
         for (size_t i = 0; i < n; ++i) out[i].reset();

@@ -147,7 +147,6 @@ TEST(ServeSoak, ChaosTrafficConservesEveryOutcome) {
   options.engine_threads = 2;
   options.queue_capacity = 64;  // small enough that bursts hit the shed path
   options.max_batch = 8;
-  options.max_wait_us = 500;
   options.io_timeout_ms = 2000;
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);

@@ -143,13 +143,18 @@ std::vector<float> QueryRow(size_t i) {
   return std::vector<float>(row, row + fx.queries.dim());
 }
 
+/// ef of the blocker request: deadline-free and far wider than the
+/// default, so it has its own BatchKey, is claimed alone and keeps a
+/// one-worker server busy while the requests sent after it queue up.
+constexpr uint32_t kBlockerEf = 1024;
+constexpr uint64_t kBlockerTag = 1000;
+
 TEST(ServeServer, ResultsMatchDirectEngineRun) {
   const ServeFixture& fx = ServeFixture::Get();
   const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   ServerOptions options;
   options.num_workers = 1;
   options.engine_threads = 1;
-  options.max_wait_us = 0;  // no linger: deterministic single-query batches
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
@@ -221,23 +226,34 @@ TEST(ServeServer, ExpiredDeadlineSettlesAsDeadlineOutcome) {
   const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   ServerOptions options;
   options.num_workers = 1;
-  // The 20 ms linger guarantees the claim happens long after a 1 us
-  // deadline expired, making the queue-expiry path deterministic.
-  options.max_wait_us = 20000;
+  options.engine_threads = 1;
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
 
+  // The blocker occupies the only worker, so the 1 us deadline request is
+  // claimed only after the blocker's search: long after it expired, which
+  // makes the queue-expiry path deterministic.
   TestClient client(server.port());
+  ASSERT_TRUE(client.SendSearch(kBlockerTag, QueryRow(1), 10, kBlockerEf)
+                  .ok());
   ASSERT_TRUE(client.SendSearch(9, QueryRow(0), 10, 0, /*deadline_us=*/1)
                   .ok());
-  const auto response = client.ReadResponse();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response.value().status_code,
-            static_cast<int32_t>(StatusCode::kDeadlineExceeded));
-  EXPECT_TRUE(response.value().results.empty());
+  for (int i = 0; i < 2; ++i) {
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (response.value().client_tag == kBlockerTag) {
+      EXPECT_EQ(response.value().status_code, 0);
+      continue;
+    }
+    EXPECT_EQ(response.value().client_tag, 9u);
+    EXPECT_EQ(response.value().status_code,
+              static_cast<int32_t>(StatusCode::kDeadlineExceeded));
+    EXPECT_TRUE(response.value().results.empty());
+  }
   ASSERT_TRUE(server.Drain().ok());
   const ServeCounterSnapshot c = server.counters();
+  EXPECT_EQ(c.ok, 1u);
   EXPECT_EQ(c.deadline, 1u);
   ExpectConservation(server);
 }
@@ -383,29 +399,33 @@ TEST(ServeServer, MidFlightDisconnectStillSettlesEveryRequest) {
   const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   ServerOptions options;
   options.num_workers = 1;
-  options.max_wait_us = 10000;  // requests sit in the linger window
+  options.engine_threads = 1;
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
 
   {
     TestClient client(server.port());
+    // The blocker holds the only worker; the four requests behind it sit
+    // in the queue.
+    ASSERT_TRUE(client.SendSearch(kBlockerTag, QueryRow(4), 5, kBlockerEf)
+                    .ok());
     for (uint64_t tag = 0; tag < 4; ++tag) {
       ASSERT_TRUE(client.SendSearch(tag, QueryRow(tag), 5).ok());
     }
-    // Wait until the server has decoded (accepted) all four — only then is
+    // Wait until the server has decoded (accepted) all five — only then is
     // "vanish with requests in flight" the scenario under test.
     Timer wait;
-    while (server.counters().accepted < 4 &&
+    while (server.counters().accepted < 5 &&
            wait.ElapsedSeconds() < 10.0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_EQ(server.counters().accepted, 4u);
-    client.AbruptClose();  // vanish with 4 requests in flight
+    ASSERT_EQ(server.counters().accepted, 5u);
+    client.AbruptClose();  // vanish with 5 requests in flight
   }
   ASSERT_TRUE(server.Drain().ok());
   const ServeCounterSnapshot c = server.counters();
-  EXPECT_EQ(c.accepted, 4u);
+  EXPECT_EQ(c.accepted, 5u);
   ExpectConservation(server);
 }
 

@@ -1,5 +1,5 @@
-// Tests for batch-engine latency accounting and the hashed-batch simulator
-// wrapper.
+// Tests for batch-engine latency and start-offset accounting and the
+// hashed-batch simulator wrapper.
 
 #include "data/synthetic.h"
 #include "gpusim/simulator.h"
@@ -63,6 +63,27 @@ TEST(BatchEngineLatency, PercentilesAreMonotone) {
   EXPECT_DOUBLE_EQ(batch.LatencyPercentileUs(100),
                    *std::max_element(batch.latencies_us.begin(),
                                      batch.latencies_us.end()));
+}
+
+TEST(BatchEngineLatency, StartOffsetsPlaceEachQueryBehindItsBatchmates) {
+  const EngineFixture& fx = EngineFixture::Get();
+  SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  BatchEngine engine(&searcher, 1);
+  const BatchResult batch = engine.Search(fx.queries, 10, {});
+  ASSERT_EQ(batch.start_offsets_us.size(), fx.queries.num());
+  EXPECT_GE(batch.start_offsets_us[0], 0.0f);
+  // One engine thread runs the queries in order, so query q starts no
+  // earlier than query q-1 finished: its offset holds the wait behind
+  // every batchmate before it. The slack covers float rounding.
+  for (size_t q = 1; q < fx.queries.num(); ++q) {
+    const float prev_end =
+        batch.start_offsets_us[q - 1] + batch.latencies_us[q - 1];
+    EXPECT_GE(batch.start_offsets_us[q], prev_end * (1.0f - 1e-5f))
+        << "query " << q;
+  }
+  const float last_end = batch.start_offsets_us.back() +
+                         batch.latencies_us.back();
+  EXPECT_LE(last_end, batch.wall_seconds * 1e6 * (1.0 + 1e-5));
 }
 
 TEST(BatchEngineLatency, EmptyBatchPercentileIsZero) {

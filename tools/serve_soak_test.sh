@@ -37,7 +37,7 @@ trap cleanup EXIT
 # case the SIGTERM below is lost (ctest TIMEOUT would fire otherwise).
 "$SERVER" --data "$DIR/data.sngd" --graph "$DIR/graph.sngg" \
       --port 0 --port-file "$DIR/port" \
-      --workers 2 --queue-capacity 64 --max-batch 8 --max-wait-us 500 \
+      --workers 2 --queue-capacity 64 --max-batch 8 \
       --fault-spec "serve.dispatch=0.03,serve.write=0.02,serve.accept=0.05" \
       --fault-seed 20260808 \
       --statusz-on-exit "$DIR/statusz.json" \

@@ -4,7 +4,7 @@
 //               [--host 127.0.0.1] [--port 0] [--port-file path]
 //               [--metric l2|ip|cosine] [--config hashtable|sel|seldel|
 //                bloom|cuckoo]
-//               [--max-batch 32] [--max-wait-us 2000] [--queue-capacity 256]
+//               [--max-batch 32] [--queue-capacity 256]
 //               [--max-inflight N] [--max-connections 64] [--workers 2]
 //               [--engine-threads 0] [--io-timeout-ms 5000]
 //               [--default-queue-size 64]
@@ -12,7 +12,7 @@
 //               [--statusz-on-exit out.json] [--duration-s N]
 //
 // Listens for SNGF frames (src/serve/frame.h), batches requests through the
-// continuous-batching scheduler and answers every accepted request with a
+// work-conserving scheduler and answers every accepted request with a
 // typed Status. Prints "LISTENING port=N" once accepting (and writes the
 // port to --port-file if given) so harnesses can wait for readiness without
 // racing the bind.
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv, 1);
   CheckFlags(flags,
              {"data", "graph", "host", "port", "port-file", "metric",
-              "config", "max-batch", "max-wait-us", "queue-capacity",
+              "config", "max-batch", "queue-capacity",
               "max-inflight", "max-connections", "workers", "engine-threads",
               "io-timeout-ms", "default-queue-size", "fault-spec",
               "fault-seed", "statusz-on-exit", "duration-s"});
@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
   options.max_connections = ParseUint(flags, "max-connections", "64");
   options.queue_capacity = ParseUint(flags, "queue-capacity", "256");
   options.max_batch = ParseUint(flags, "max-batch", "32");
-  options.max_wait_us = ParseUint(flags, "max-wait-us", "2000");
   options.num_workers = ParseUint(flags, "workers", "2");
   options.engine_threads = ParseUint(flags, "engine-threads", "0");
   options.max_inflight = ParseUint(flags, "max-inflight", "0");
