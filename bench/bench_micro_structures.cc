@@ -1,7 +1,7 @@
 // Micro ablations (google-benchmark) for the data-structure choices
 // DESIGN.md calls out:
 //  * bounded symmetric min-max heap vs std::priority_queue rebuild — the
-//    §IV-C design choice;
+//    §IV-C design choice — and the CPU preset's sorted CandidatePool;
 //  * open-addressing hash set vs Bloom vs Cuckoo filter ops — the §IV-B/E
 //    alternatives;
 //  * probe cost as the open-addressing table fills.
@@ -28,6 +28,7 @@
 #include "obs/exporters.h"
 #include "song/bloom_filter.h"
 #include "song/bounded_heap.h"
+#include "song/candidate_pool.h"
 #include "song/cuckoo_filter.h"
 #include "song/open_addressing_set.h"
 
@@ -61,6 +62,34 @@ void BM_SmmhBoundedStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * stream.size());
 }
 BENCHMARK(BM_SmmhBoundedStream)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+// The CPU preset's frontier: one sorted pool whose cursor expansion stands
+// in for the SMMH's pop-min (expanded entries stay, as top-K results).
+void CandidatePoolStreamPass(CandidatePool& pool,
+                             const std::vector<Neighbor>& stream) {
+  pool.Reset(pool.capacity());
+  size_t evicted = 0;
+  for (const Neighbor& n : stream) {
+    pool.Insert(n, &evicted);
+    if (pool.size() > pool.capacity() / 2 && (n.id & 7) == 0 &&
+        pool.HasUnexpanded()) {
+      benchmark::DoNotOptimize(pool.ExpandNext());
+    }
+  }
+  benchmark::DoNotOptimize(pool.size() + evicted);
+}
+
+void BM_CandidatePoolBoundedStream(benchmark::State& state) {
+  const auto stream = MakeStream(4096, 42);
+  CandidatePool pool(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) CandidatePoolStreamPass(pool, stream);
+  state.SetItemsProcessed(state.iterations() * stream.size());
+}
+BENCHMARK(BM_CandidatePoolBoundedStream)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
 
 // Naive alternative: unbounded binary heap + lazy truncation (what a direct
 // CPU->GPU port would do; unbounded growth is the §IV-C motivation).
@@ -233,6 +262,10 @@ void RunStructureSweep() {
            }
            benchmark::DoNotOptimize(popped + q.size());
          }));
+    CandidatePool pool(capacity);
+    emit("candidate_pool_bounded_stream", capacity,
+         TimeCell(reps, stream.size(),
+                  [&] { CandidatePoolStreamPass(pool, stream); }));
   }
 
   for (const size_t n : {size_t{128}, size_t{1024}, size_t{8192}}) {

@@ -25,17 +25,23 @@ namespace song::obs {
 /// Counter deltas and occupancy snapshot for one main-loop iteration.
 /// Row 0 is the pipeline's entry initialization (one distance computation,
 /// one visited insert, one queue push); rows 1..n are loop iterations.
+///
+/// Fields name SONG's `q` and `topk`. Under the CPU preset's CandidatePool
+/// frontier (song/search_core.h) one sorted pool plays both roles; the
+/// per-field notes give that reading after "pool:". The pool runs no final
+/// terminating round, so its query has one row fewer.
 struct TraceIterationRow {
   uint32_t iteration = 0;
 
   // Occupancy at the end of the iteration.
-  uint32_t frontier_size = 0;  ///< priority queue (q) live entries
-  uint32_t topk_size = 0;
+  uint32_t frontier_size = 0;  ///< q live entries (pool: unexpanded entries,
+                               ///< boundary ties included)
+  uint32_t topk_size = 0;      ///< topk live entries (pool: expanded entries)
   uint32_t visited_size = 0;   ///< visited-structure live entries
 
   // Stage 1 — candidate locating.
   uint32_t rows_loaded = 0;
-  uint32_t q_pops = 0;
+  uint32_t q_pops = 0;         ///< q pops (pool: expansions)
   uint32_t visited_tests = 0;
 
   // Stage 2 — bulk distance computation.
@@ -43,9 +49,10 @@ struct TraceIterationRow {
   uint32_t dist_comps = 0;
 
   // Stage 3 — data structure maintenance.
-  uint32_t heap_pushes = 0;    ///< q pushes + evictions (heap ops)
-  uint32_t topk_ops = 0;       ///< topk pushes + evictions
-  uint32_t visited_inserts = 0;
+  uint32_t heap_pushes = 0;    ///< q pushes + evictions (pool: admissions +
+                               ///< entries they pushed out)
+  uint32_t topk_ops = 0;       ///< topk pushes + evictions (pool: always 0)
+  uint32_t visited_inserts = 0;  ///< (pool: marked in Stage 1, same row)
   uint32_t visited_deletes = 0;
 };
 

@@ -207,9 +207,15 @@ struct SongSearchOptions {
 /// Warp-level work counters collected during search. Each counter maps to a
 /// concrete GPU cost in gpusim::CostModel; they also serve as the
 /// computation-vs-memory trade-off evidence for the §IV-D/E optimizations.
+/// The q_* and topk_* counters name SONG's queue and top-K heap; under the
+/// CPU preset's CandidatePool frontier the q_* counters count the pool's
+/// expansions, admissions, push-outs and refusals, and topk_* stay 0
+/// (docs/observability.md).
 struct SearchStats {
   // Stage 1 — candidate locating.
-  size_t iterations = 0;           ///< main-loop rounds (kernel iterations)
+  size_t iterations = 0;           ///< main-loop rounds (kernel iterations);
+                                   ///< the pool skips the SMMH's final
+                                   ///< terminating round
   size_t vertices_expanded = 0;    ///< queue pops processed
   size_t graph_rows_loaded = 0;    ///< fixed-degree rows fetched
   size_t graph_bytes_loaded = 0;

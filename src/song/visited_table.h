@@ -105,6 +105,14 @@ class VisitedTable {
     }
   }
 
+  /// Resets to kEpochArray over ids [0, capacity) and hands out the stamp
+  /// array itself, so a caller that never switches structure mid-query can
+  /// test-and-set without the per-call dispatch.
+  EpochVisitedSet& ResetEpoch(size_t capacity) {
+    Reset(VisitedStructure::kEpochArray, capacity);
+    return epoch_;
+  }
+
   void Clear() {
     switch (structure_) {
       case VisitedStructure::kHashTable:

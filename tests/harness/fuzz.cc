@@ -703,6 +703,12 @@ FuzzInstance MakeInstance(RandomEngine& rng, VisitedStructure structure) {
   inst.options.queue_size = 1 + rng.NextUint(48);
   inst.options.selected_insertion = rng.NextUint(2) == 0;
   inst.options.visited_deletion = rng.NextUint(2) == 0;
+  if (structure == VisitedStructure::kEpochArray && rng.NextUint(3) != 0) {
+    // Three in four epoch-array rounds run the CPU preset's candidate pool
+    // (internal::UsesCandidatePool); the rest keep the SMMH frontier.
+    inst.options.selected_insertion = false;
+    inst.options.visited_deletion = false;
+  }
   const size_t steps[4] = {1, 1, 2, 4};
   inst.options.multi_step_probe = steps[rng.NextUint(4)];
   if (structure == VisitedStructure::kHashTable) {
@@ -752,6 +758,8 @@ DifferentialReport FuzzSearchDifferential(VisitedStructure structure,
     RandomEngine rng(rseed);
     const FuzzInstance inst = MakeInstance(rng, structure);
     const std::string ctx = Ctx("SearchCore", seed, round);
+    const bool pool = internal::UsesCandidatePool(inst.options);
+    if (pool) ++report.pool_rounds;
     const size_t n = inst.points.num();
     const size_t dim = inst.points.dim();
     const DistanceFunc dist = GetDistanceFunc(inst.metric);
@@ -802,13 +810,17 @@ DifferentialReport FuzzSearchDifferential(VisitedStructure structure,
       report.Fail(ctx + "result set mismatch " + DescribeInstance(inst));
       continue;
     }
+    // The pool skips the SMMH's final round that only discovers
+    // termination, so its iterations are the reference's expansion rounds.
+    const size_t want_iterations =
+        pool ? want.expansion_rounds : want.iterations;
     ++report.checks;
-    if (stats.iterations != want.iterations ||
+    if (stats.iterations != want_iterations ||
         stats.distance_computations != visit_order.size() ||
         stats.visited_insert_failures != want.visited_insert_failures) {
       std::ostringstream os;
       os << ctx << "stats mismatch (iterations " << stats.iterations << " vs "
-         << want.iterations << ", dists " << stats.distance_computations
+         << want_iterations << ", dists " << stats.distance_computations
          << " vs " << visit_order.size() << ", insert failures "
          << stats.visited_insert_failures << " vs "
          << want.visited_insert_failures << ") " << DescribeInstance(inst);

@@ -36,6 +36,7 @@ std::string SeedBanner();
 struct DifferentialReport {
   size_t checks = 0;
   size_t failures = 0;
+  size_t pool_rounds = 0;  ///< search rounds run on the CandidatePool frontier
   std::string first_divergence;
 
   void Fail(const std::string& message) {
@@ -82,7 +83,9 @@ DifferentialReport FuzzBloomVsOracle(uint64_t seed, size_t rounds);
 /// degree, n, k, queue_size, metric, selected_insertion, visited_deletion,
 /// multi_step, ample and auto hash capacities) against the oracle-backed
 /// reference search. For exact structures the visit order, iteration count
-/// and final neighbors must match element-for-element.
+/// and final neighbors must match element-for-element. Three in four
+/// kEpochArray rounds drop §IV-D/E and so run the CandidatePool frontier,
+/// whose iteration count must equal the reference's expansion rounds.
 DifferentialReport FuzzSearchDifferential(VisitedStructure structure,
                                           uint64_t seed, size_t rounds);
 

@@ -67,6 +67,7 @@ ReferenceSearchResult ReferenceSongSearch(
       }
     }
     if (terminate) break;
+    ++out.expansion_rounds;
     if (candidates.empty()) continue;
 
     // Stage 2: bulk distance computation.

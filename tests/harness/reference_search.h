@@ -27,6 +27,8 @@ struct ReferenceSearchResult {
   std::vector<Neighbor> results;    ///< final top-k, ascending
   std::vector<idx_t> visit_order;   ///< every distance computation, in order
   size_t iterations = 0;            ///< main-loop rounds
+  size_t expansion_rounds = 0;      ///< rounds that expanded a vertex: all
+                                    ///< but a final round that terminates
   size_t visited_insert_failures = 0;
 };
 

@@ -57,48 +57,61 @@ TEST(TraceIntegration, TracingIsAPureObserver) {
   const Fixture& fx = Fixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, /*num_threads=*/2);
-  SongSearchOptions options = SongSearchOptions::HashTableSelDel();
-  options.queue_size = 48;
+  // One preset per frontier: the SMMH queue and the CPU preset's pool.
+  for (SongSearchOptions options : {SongSearchOptions::HashTableSelDel(),
+                                    SongSearchOptions::CpuEngineered()}) {
+    SCOPED_TRACE(options.Name());
+    options.queue_size = 48;
 
-  const BatchResult plain = engine.Search(fx.queries, 10, options);
+    const BatchResult plain = engine.Search(fx.queries, 10, options);
 
-  obs::MetricsRegistry registry;
-  BatchTelemetry telemetry;
-  telemetry.registry = &registry;
-  telemetry.trace_sample_period = 1;  // trace every query
-  const BatchResult traced = engine.Search(fx.queries, 10, options,
-                                           telemetry);
+    obs::MetricsRegistry registry;
+    BatchTelemetry telemetry;
+    telemetry.registry = &registry;
+    telemetry.trace_sample_period = 1;  // trace every query
+    const BatchResult traced = engine.Search(fx.queries, 10, options,
+                                             telemetry);
 
-  // Same neighbors, same recall.
-  ASSERT_EQ(traced.results.size(), plain.results.size());
-  for (size_t q = 0; q < plain.results.size(); ++q) {
-    ASSERT_EQ(traced.results[q].size(), plain.results[q].size()) << q;
-    for (size_t i = 0; i < plain.results[q].size(); ++i) {
-      EXPECT_EQ(traced.results[q][i].id, plain.results[q][i].id);
+    // Same neighbors, same recall.
+    ASSERT_EQ(traced.results.size(), plain.results.size());
+    for (size_t q = 0; q < plain.results.size(); ++q) {
+      ASSERT_EQ(traced.results[q].size(), plain.results[q].size()) << q;
+      for (size_t i = 0; i < plain.results[q].size(); ++i) {
+        EXPECT_EQ(traced.results[q][i].id, plain.results[q][i].id);
+      }
     }
+    EXPECT_DOUBLE_EQ(MeanRecallAtK(traced.Ids(), fx.ground_truth, 10),
+                     MeanRecallAtK(plain.Ids(), fx.ground_truth, 10));
+
+    // Same visited-vertex and work counters: tracing observed, not
+    // perturbed.
+    EXPECT_EQ(traced.stats.iterations, plain.stats.iterations);
+    EXPECT_EQ(traced.stats.vertices_expanded, plain.stats.vertices_expanded);
+    EXPECT_EQ(traced.stats.distance_computations,
+              plain.stats.distance_computations);
+    EXPECT_EQ(traced.stats.visited_insertions,
+              plain.stats.visited_insertions);
+    EXPECT_EQ(traced.stats.visited_deletions, plain.stats.visited_deletions);
+    EXPECT_EQ(traced.stats.q_pushes, plain.stats.q_pushes);
+    EXPECT_EQ(traced.stats.q_evictions, plain.stats.q_evictions);
+    EXPECT_EQ(traced.stats.q_rejections, plain.stats.q_rejections);
+    EXPECT_EQ(traced.stats.topk_pushes, plain.stats.topk_pushes);
+
+    // Period 1 traces every query, ordered by query id, one row per round
+    // plus the entry row.
+    ASSERT_EQ(traced.traces.size(), fx.queries.num());
+    EXPECT_EQ(traced.traces_dropped, 0u);
+    size_t rows = 0;
+    for (size_t q = 0; q < traced.traces.size(); ++q) {
+      EXPECT_EQ(traced.traces[q].query_id, q);
+      EXPECT_EQ(traced.traces[q].config, options.Name());
+      rows += traced.traces[q].rows.size();
+    }
+    EXPECT_EQ(rows, plain.stats.iterations + fx.queries.num());
+
+    // Untraced runs carry no traces.
+    EXPECT_TRUE(plain.traces.empty());
   }
-  EXPECT_DOUBLE_EQ(MeanRecallAtK(traced.Ids(), fx.ground_truth, 10),
-                   MeanRecallAtK(plain.Ids(), fx.ground_truth, 10));
-
-  // Same visited-vertex and work counters: tracing observed, not perturbed.
-  EXPECT_EQ(traced.stats.iterations, plain.stats.iterations);
-  EXPECT_EQ(traced.stats.vertices_expanded, plain.stats.vertices_expanded);
-  EXPECT_EQ(traced.stats.distance_computations,
-            plain.stats.distance_computations);
-  EXPECT_EQ(traced.stats.visited_insertions, plain.stats.visited_insertions);
-  EXPECT_EQ(traced.stats.visited_deletions, plain.stats.visited_deletions);
-  EXPECT_EQ(traced.stats.q_pushes, plain.stats.q_pushes);
-
-  // Period 1 traces every query, ordered by query id.
-  ASSERT_EQ(traced.traces.size(), fx.queries.num());
-  EXPECT_EQ(traced.traces_dropped, 0u);
-  for (size_t q = 0; q < traced.traces.size(); ++q) {
-    EXPECT_EQ(traced.traces[q].query_id, q);
-    EXPECT_EQ(traced.traces[q].config, options.Name());
-  }
-
-  // Untraced runs carry no traces.
-  EXPECT_TRUE(plain.traces.empty());
 }
 
 TEST(TraceIntegration, RegistryMirrorsAggregateStats) {

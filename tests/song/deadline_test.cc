@@ -100,47 +100,54 @@ TEST(DeadlineBudget, GenerousBudgetsDoNotChangeResults) {
 TEST(DeadlineBudget, TinyCostBudgetDegradesButStaysValid) {
   const DeadlineFixture& fx = DeadlineFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
-  SongSearchOptions options;
-  options.queue_size = 64;
-  options.cost_budget = 1;  // one distance computation, then stop
-  SearchStats stats;
-  size_t degraded_count = 0;
-  for (size_t q = 0; q < fx.queries.num(); ++q) {
-    bool degraded = false;
-    SongWorkspace ws;
-    const auto result =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, options,
-                        &ws, &stats, nullptr, &degraded);
-    if (degraded) ++degraded_count;
-    // Best-so-far results are still well-formed: sorted, ids in range.
-    for (size_t i = 0; i < result.size(); ++i) {
-      EXPECT_LT(result[i].id, fx.data.num());
-      if (i > 0) EXPECT_LE(result[i - 1].dist, result[i].dist);
+  // One preset per frontier: the SMMH queue and the CPU preset's pool.
+  for (SongSearchOptions options :
+       {SongSearchOptions::HashTable(), SongSearchOptions::CpuEngineered()}) {
+    SCOPED_TRACE(options.Name());
+    options.queue_size = 64;
+    options.cost_budget = 1;  // one distance computation, then stop
+    SearchStats stats;
+    size_t degraded_count = 0;
+    for (size_t q = 0; q < fx.queries.num(); ++q) {
+      bool degraded = false;
+      SongWorkspace ws;
+      const auto result =
+          searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, options,
+                          &ws, &stats, nullptr, &degraded);
+      if (degraded) ++degraded_count;
+      // Best-so-far results are still well-formed: sorted, ids in range.
+      for (size_t i = 0; i < result.size(); ++i) {
+        EXPECT_LT(result[i].id, fx.data.num());
+        if (i > 0) EXPECT_LE(result[i - 1].dist, result[i].dist);
+      }
+      EXPECT_LE(result.size(), 10u);
     }
-    EXPECT_LE(result.size(), 10u);
+    // A 3000-point graph cannot converge in one distance computation.
+    EXPECT_EQ(degraded_count, fx.queries.num());
+    EXPECT_EQ(stats.budget_terminations, fx.queries.num());
   }
-  // A 3000-point graph cannot converge in one distance computation.
-  EXPECT_EQ(degraded_count, fx.queries.num());
-  EXPECT_EQ(stats.budget_terminations, fx.queries.num());
 }
 
 TEST(DeadlineBudget, CostBudgetIsDeterministic) {
   const DeadlineFixture& fx = DeadlineFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
-  SongSearchOptions options;
-  options.queue_size = 64;
-  options.cost_budget = 200;
-  for (size_t q = 0; q < 5; ++q) {
-    SongWorkspace ws;
-    bool degraded_a = false, degraded_b = false;
-    const auto a = searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10,
-                                   options, &ws, nullptr, nullptr,
-                                   &degraded_a);
-    const auto b = searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10,
-                                   options, &ws, nullptr, nullptr,
-                                   &degraded_b);
-    EXPECT_TRUE(SameResults(a, b)) << "query " << q;
-    EXPECT_EQ(degraded_a, degraded_b) << "query " << q;
+  for (SongSearchOptions options :
+       {SongSearchOptions::HashTable(), SongSearchOptions::CpuEngineered()}) {
+    SCOPED_TRACE(options.Name());
+    options.queue_size = 64;
+    options.cost_budget = 200;
+    for (size_t q = 0; q < 5; ++q) {
+      SongWorkspace ws;
+      bool degraded_a = false, degraded_b = false;
+      const auto a = searcher.Search(fx.queries.Row(static_cast<idx_t>(q)),
+                                     10, options, &ws, nullptr, nullptr,
+                                     &degraded_a);
+      const auto b = searcher.Search(fx.queries.Row(static_cast<idx_t>(q)),
+                                     10, options, &ws, nullptr, nullptr,
+                                     &degraded_b);
+      EXPECT_TRUE(SameResults(a, b)) << "query " << q;
+      EXPECT_EQ(degraded_a, degraded_b) << "query " << q;
+    }
   }
 }
 

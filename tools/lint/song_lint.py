@@ -68,6 +68,7 @@ END_SEQ = re.compile(r"//\s*song-lint:\s*end-seqlock\b")
 # markers (or the code) must fail the lint, not silently pass it.
 REQUIRED_HOT_REGIONS = {
     "flight-recorder-record",
+    "search-core-pool-admit",
     "search-core-stage2",
     "serve-batch-form",
 }
