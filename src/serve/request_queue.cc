@@ -6,8 +6,8 @@
 
 namespace song::serve {
 
-RequestQueue::RequestQueue(size_t capacity)
-    : capacity_(capacity > 0 ? capacity : 1) {}
+RequestQueue::RequestQueue(size_t capacity, size_t slots)
+    : capacity_(capacity > 0 ? capacity : 1), slots_(slots) {}
 
 Status RequestQueue::Push(std::unique_ptr<PendingRequest>& request,
                           size_t* depth) {
@@ -23,7 +23,7 @@ Status RequestQueue::Push(std::unique_ptr<PendingRequest>& request,
   }
   queue_.push_back(std::move(request));
   if (depth != nullptr) *depth = queue_.size();
-  nonempty_.NotifyOne();
+  claimable_.NotifyOne();
   return Status::OK();
 }
 
@@ -31,9 +31,10 @@ size_t RequestQueue::PopBatch(std::unique_ptr<PendingRequest>* out,
                               size_t max_batch, size_t* depth) {
   if (max_batch == 0) return 0;
   MutexLock lock(mu_);
-  while (queue_.empty() && !closed_) nonempty_.Wait(mu_);
+  while (!Claimable() && !(closed_ && queue_.empty())) claimable_.Wait(mu_);
   size_t n = 0;
-  if (!queue_.empty()) {
+  if (Claimable()) {
+    ++in_dispatch_;
     const BatchKey key = KeyOf(*queue_.front());
     // song-lint: begin-hot-path(serve-batch-form)
     // Work-conserving claim under the queue mutex: every queued request and
@@ -50,15 +51,32 @@ size_t RequestQueue::PopBatch(std::unique_ptr<PendingRequest>* out,
       }
     }
     // song-lint: end-hot-path
+    // Requests the sweep left behind (another key) may still be claimable:
+    // pass the wake-up on rather than let them wait for the next Push.
+    if (Claimable()) claimable_.NotifyOne();
   }
   if (depth != nullptr) *depth = queue_.size();
   return n;  // 0 only when closed and drained: the worker-exit signal
 }
 
+bool RequestQueue::TryClaimIdle() {
+  MutexLock lock(mu_);
+  if (closed_ || !queue_.empty() || in_dispatch_ >= slots_) return false;
+  ++in_dispatch_;
+  return true;
+}
+
+void RequestQueue::Release() {
+  MutexLock lock(mu_);
+  SONG_CHECK(in_dispatch_ > 0);
+  --in_dispatch_;
+  claimable_.NotifyOne();
+}
+
 void RequestQueue::Close() {
   MutexLock lock(mu_);
   closed_ = true;
-  nonempty_.NotifyAll();
+  claimable_.NotifyAll();
 }
 
 std::vector<std::unique_ptr<PendingRequest>> RequestQueue::TakeAll() {

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -42,9 +43,12 @@ void Bump(obs::Counter* counter, uint64_t n = 1) {
 /// One accepted socket: a reader thread decoding frames into admissions and
 /// a writer thread draining the response outbox. The writer exists so a
 /// slow client's full socket buffer backs up only this connection's outbox
-/// — scheduler workers enqueue a settled response and move on. The
-/// connection outlives its socket's usefulness: requests in flight hold a
-/// shared_ptr, so a mid-stream disconnect still gets every outcome
+/// — scheduler workers enqueue a settled response and move on. A reader
+/// that ran its own request inline writes that response itself when
+/// nothing else is pending or in flight (write-through), without blocking:
+/// what the socket does not take at once goes to the front of the outbox.
+/// The connection outlives its socket's usefulness: requests in flight hold
+/// a shared_ptr, so a mid-stream disconnect still gets every outcome
 /// accounted (the writes fail and are counted, never silently dropped).
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
@@ -76,13 +80,36 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
-  /// Queues one encoded frame for the writer. Unbounded, but naturally
-  /// capped: at most queue_capacity + inflight settled responses plus
-  /// small ping/statusz replies can be pending per connection.
-  void EnqueueFrame(std::vector<uint8_t> frame) SONG_EXCLUDES(mu_) {
+  /// Queues one encoded frame for the writer. `settled_us` is a search
+  /// response's settle stamp (song.req.respond_us runs from it to the last
+  /// byte written), negative for other frames. With `write_through` — the
+  /// reader settling its own inline request — and nothing pending or in
+  /// flight, sends it directly instead. Unbounded, but naturally capped: at
+  /// most queue_capacity + inflight settled responses plus small
+  /// ping/statusz replies can be pending per connection.
+  void EnqueueFrame(std::vector<uint8_t> bytes, double settled_us = -1.0,
+                    bool write_through = false) SONG_EXCLUDES(mu_) {
+    OutFrame frame;
+    frame.bytes = std::move(bytes);
+    frame.settled_us = settled_us;
+    {
+      MutexLock lock(mu_);
+      if (!write_through || writing_ || write_failed_ || !outbox_.empty()) {
+        outbox_.push_back(std::move(frame));
+        outbox_cv_.NotifyOne();
+        return;
+      }
+      writing_ = true;
+    }
+    const bool ok = Send(&frame, /*blocking=*/false);
     MutexLock lock(mu_);
-    outbox_.push_back(std::move(frame));
-    outbox_cv_.NotifyOne();
+    writing_ = false;
+    if (!ok) {
+      write_failed_ = true;
+    } else if (frame.sent < frame.bytes.size()) {
+      outbox_.push_front(std::move(frame));
+    }
+    if (!outbox_.empty()) outbox_cv_.NotifyOne();
   }
 
   /// Admission bookkeeping: issued when a search request is decoded,
@@ -98,10 +125,19 @@ class Connection : public std::enable_shared_from_this<Connection> {
     MutexLock lock(mu_);
     SONG_CHECK(outstanding_ > 0);
     --outstanding_;
-    outbox_cv_.NotifyAll();
+    // Only the writer's exit condition needs a wake-up here; new frames
+    // wake it from EnqueueFrame.
+    if (reader_done_ && outstanding_ == 0) outbox_cv_.NotifyAll();
   }
 
  private:
+  /// One frame owed to the socket.
+  struct OutFrame {
+    std::vector<uint8_t> bytes;
+    double settled_us = -1.0;  ///< search responses only; < 0 otherwise
+    size_t sent = 0;           ///< bytes already written by write-through
+  };
+
   void ReaderLoop() {
     bool keep_reading = true;
     while (keep_reading) {
@@ -152,8 +188,16 @@ class Connection : public std::enable_shared_from_this<Connection> {
             keep_reading = false;
             break;
           }
+          // Only a socket with no further request bytes waiting may run its
+          // request inline: a pipelining client's backlog goes to the
+          // workers and forms batches instead of waiting unread behind this
+          // search. ReadFrame buffers nothing past the frame, so FIONREAD
+          // counts exactly the later frames.
+          int waiting = 0;
+          const bool socket_idle =
+              ::ioctl(fd_, FIONREAD, &waiting) == 0 && waiting == 0;
           server_->AdmitRequest(std::move(request).value(),
-                                shared_from_this());
+                                shared_from_this(), socket_idle);
           break;
         }
         default:
@@ -170,39 +214,69 @@ class Connection : public std::enable_shared_from_this<Connection> {
   }
 
   void WriterLoop() {
-    bool write_failed = false;  // writer-thread-local: fd is poisoned
     for (;;) {
-      std::vector<uint8_t> frame;
+      OutFrame frame;
+      bool discard = false;
       {
         MutexLock lock(mu_);
-        while (outbox_.empty() && !(reader_done_ && outstanding_ == 0)) {
+        while (writing_ ||
+               (outbox_.empty() && !(reader_done_ && outstanding_ == 0))) {
           outbox_cv_.Wait(mu_);
         }
         if (outbox_.empty()) break;  // reader done, everything settled
         frame = std::move(outbox_.front());
         outbox_.pop_front();
+        discard = write_failed_;
+        writing_ = !discard;
       }
-      // Deterministic chaos (docs/robustness.md): serve.write simulates the
-      // peer vanishing between settle and flush.
-      if (!write_failed &&
-          fault::FaultRegistry::Global().ShouldFail("serve.write")) {
-        write_failed = true;
-        server_->BumpWriteError();
-        ::shutdown(fd_, SHUT_RDWR);
-      }
-      if (!write_failed) {
-        const Status ws = transport_.WriteBytes(frame);
-        if (!ws.ok()) {
-          // The settle already accounted the request; the lost response is
-          // counted here and the remaining outbox drains as discards so
-          // settles never block on a dead peer.
-          write_failed = true;
-          server_->BumpWriteError();
-          ::shutdown(fd_, SHUT_RDWR);
-        }
-      }
+      if (discard) continue;
+      const bool ok = Send(&frame, /*blocking=*/true);
+      MutexLock lock(mu_);
+      writing_ = false;
+      if (!ok) write_failed_ = true;
     }
     finished_.store(true, std::memory_order_release);
+  }
+
+  /// Writes what is left of `frame`: all of it (blocking, on the writer
+  /// thread, each wait bounded by the I/O timeout) or what the socket takes
+  /// at once (write-through, never blocking the reader). Both paths roll
+  /// the serve.write fault site once per frame and account failures alike.
+  /// Returns false on the connection's first write failure; the caller
+  /// records it so later frames drain as discards.
+  bool Send(OutFrame* frame, bool blocking) {
+    // Deterministic chaos (docs/robustness.md): serve.write simulates the
+    // peer vanishing between settle and flush.
+    bool ok = frame->sent > 0 ||
+              !fault::FaultRegistry::Global().ShouldFail("serve.write");
+    while (ok && frame->sent < frame->bytes.size()) {
+      const uint8_t* rest = frame->bytes.data() + frame->sent;
+      const size_t len = frame->bytes.size() - frame->sent;
+      if (blocking) {
+        ok = transport_.WriteBytes(rest, len).ok();
+        if (ok) frame->sent += len;
+        continue;
+      }
+      // MSG_NOSIGNAL: a vanished peer is EPIPE here, never a SIGPIPE.
+      const ssize_t n = ::send(fd_, rest, len, MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n >= 0) {
+        frame->sent += static_cast<size_t>(n);
+      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return true;  // full socket buffer: the writer sends the rest
+      } else if (errno != EINTR) {
+        ok = false;  // EPIPE, ECONNRESET, ...
+      }
+    }
+    if (!ok) {
+      // The settle already accounted the request; the lost response is
+      // counted here and the remaining outbox drains as discards so
+      // settles never block on a dead peer.
+      server_->BumpWriteError();
+      ::shutdown(fd_, SHUT_RDWR);
+      return false;
+    }
+    if (frame->settled_us >= 0.0) server_->ObserveRespond(frame->settled_us);
+    return true;
   }
 
   SongServer* server_;
@@ -213,9 +287,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   Mutex mu_;
   CondVar outbox_cv_;
-  std::deque<std::vector<uint8_t>> outbox_ SONG_GUARDED_BY(mu_);
+  std::deque<OutFrame> outbox_ SONG_GUARDED_BY(mu_);
   size_t outstanding_ SONG_GUARDED_BY(mu_) = 0;
   bool reader_done_ SONG_GUARDED_BY(mu_) = false;
+  /// A write is in flight (writer or write-through): frames never
+  /// interleave on the socket.
+  bool writing_ SONG_GUARDED_BY(mu_) = false;
+  /// The first write failed: the socket is severed and what is left of the
+  /// outbox drains as discards.
+  bool write_failed_ SONG_GUARDED_BY(mu_) = false;
   std::atomic<bool> finished_{false};
 };
 
@@ -228,7 +308,7 @@ SongServer::SongServer(const SongSearcher* searcher,
       engine_(searcher, options.engine_threads),
       flight_recorder_(options.flight_recorder_capacity),
       request_metrics_(registry),
-      queue_(options.queue_capacity) {
+      queue_(options.queue_capacity, options.num_workers) {
   SONG_CHECK(searcher != nullptr);
   if (registry_ != nullptr) {
     c_accepted_ = &registry_->GetCounter("song.serve.accepted");
@@ -243,11 +323,14 @@ SongServer::SongServer(const SongSearcher* searcher,
     c_write_errors_ = &registry_->GetCounter("song.serve.write_errors");
     c_read_timeouts_ = &registry_->GetCounter("song.serve.read_timeouts");
     c_batches_ = &registry_->GetCounter("song.serve.batches");
+    c_inline_dispatches_ =
+        &registry_->GetCounter("song.serve.inline_dispatches");
     c_drains_ = &registry_->GetCounter("song.serve.drains");
     g_queue_depth_ = &registry_->GetGauge("song.serve.queue_depth");
     g_connections_ = &registry_->GetGauge("song.serve.connections");
     g_draining_ = &registry_->GetGauge("song.serve.draining");
     h_batch_size_ = &registry_->GetHistogram("song.serve.batch_size");
+    h_respond_us_ = &registry_->GetHistogram("song.req.respond_us");
   }
 }
 
@@ -461,7 +544,8 @@ void SongServer::ReapConnections(bool all) {
 }
 
 void SongServer::AdmitRequest(SearchRequestFrame frame,
-                              const std::shared_ptr<Connection>& conn) {
+                              const std::shared_ptr<Connection>& conn,
+                              bool socket_idle) {
   Bump(c_accepted_);
   n_accepted_.fetch_add(1, std::memory_order_relaxed);
 
@@ -517,6 +601,14 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
                   /*rejected=*/false, now, now);
     return;
   }
+  if (socket_idle && queue_.TryClaimIdle()) {
+    // Run to completion: an idle server answers on the thread that read
+    // the request, with no hand-off to a worker or to the writer.
+    request->inline_dispatch = true;
+    DispatchBatch(&request, 1, request->enqueue_us);
+    queue_.Release();
+    return;
+  }
   size_t depth = 0;
   const Status pushed = queue_.Push(request, &depth);
   if (!pushed.ok()) {
@@ -535,8 +627,6 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
 
 void SongServer::WorkerLoop() {
   std::vector<std::unique_ptr<PendingRequest>> batch(options_.max_batch);
-  std::vector<size_t> live;
-  live.reserve(options_.max_batch);
   for (;;) {
     size_t depth = 0;
     const size_t n = queue_.PopBatch(batch.data(), options_.max_batch, &depth);
@@ -544,124 +634,134 @@ void SongServer::WorkerLoop() {
     if (g_queue_depth_ != nullptr) {
       g_queue_depth_->Set(static_cast<double>(depth));
     }
-    const double claim_us = NowUs();
-    live.clear();
-    for (size_t i = 0; i < n; ++i) {
-      batch[i]->batched_us = claim_us;
-      if (batch[i]->deadline_at_us > 0.0 &&
-          claim_us >= batch[i]->deadline_at_us) {
-        // Expired while queued: answer without searching. The deadline
-        // covers the request's whole server-side life, queue wait included.
-        SettleRequest(
-            batch[i].get(),
-            Status::DeadlineExceeded("deadline expired in queue after " +
-                                     std::to_string(static_cast<uint64_t>(
-                                         claim_us - batch[i]->enqueue_us)) +
-                                     " us"),
-            Outcome::kDeadline, nullptr, /*degraded=*/false,
-            /*rejected=*/false, claim_us, claim_us);
-        batch[i].reset();
-      } else {
-        live.push_back(i);
-      }
-    }
-    if (live.empty()) continue;
-    Bump(c_batches_);
-    if (h_batch_size_ != nullptr) {
-      h_batch_size_->Observe(static_cast<double>(live.size()));
-    }
+    DispatchBatch(batch.data(), n, NowUs());
+    queue_.Release();
+  }
+}
 
-    // Deterministic chaos: a whole-batch dispatch failure (lost engine,
-    // remote backend, ...). Settled as typed errors, never dropped.
-    if (fault::FaultRegistry::Global().ShouldFail("serve.dispatch")) {
-      const Status injected =
-          Status::Unavailable("injected fault: serve.dispatch");
-      for (const size_t i : live) {
-        const double now = NowUs();
-        SettleRequest(batch[i].get(), injected, Outcome::kError, nullptr,
-                      /*degraded=*/false, /*rejected=*/false, now, now);
-        batch[i].reset();
-      }
-      continue;
+void SongServer::DispatchBatch(std::unique_ptr<PendingRequest>* batch,
+                               size_t n, double claim_us) {
+  // Settle what expired while queued and compact the rest to the front.
+  size_t live = 0;
+  for (size_t i = 0; i < n; ++i) {
+    batch[i]->batched_us = claim_us;
+    if (batch[i]->deadline_at_us > 0.0 &&
+        claim_us >= batch[i]->deadline_at_us) {
+      // Expired while queued: answer without searching. The deadline
+      // covers the request's whole server-side life, queue wait included.
+      SettleRequest(
+          batch[i].get(),
+          Status::DeadlineExceeded("deadline expired in queue after " +
+                                   std::to_string(static_cast<uint64_t>(
+                                       claim_us - batch[i]->enqueue_us)) +
+                                   " us"),
+          Outcome::kDeadline, nullptr, /*degraded=*/false,
+          /*rejected=*/false, claim_us, claim_us);
+      batch[i].reset();
+    } else {
+      if (live != i) batch[live] = std::move(batch[i]);
+      ++live;
     }
+  }
+  if (live == 0) return;
+  Bump(c_batches_);
+  n_batches_.fetch_add(1, std::memory_order_relaxed);
+  if (batch[0]->inline_dispatch) {
+    Bump(c_inline_dispatches_);
+    n_inline_dispatches_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (h_batch_size_ != nullptr) {
+    h_batch_size_->Observe(static_cast<double>(live));
+  }
 
-    const PendingRequest& head = *batch[live[0]];
-    const size_t k = head.k;
-    SongSearchOptions opts = options_.base_options;
-    opts.queue_size = head.queue_size;
-    opts.cost_budget = head.cost_budget;
-    opts.deadline_us = 0;
-    if (head.deadline_us != 0) {
-      // All batchmates carry deadlines (BatchKey::bounded_deadline); the
-      // engine enforces the tightest remaining one for the whole batch.
-      double min_remaining_us = 0.0;
-      bool first = true;
+  // Deterministic chaos: a whole-batch dispatch failure (lost engine,
+  // remote backend, ...). Settled as typed errors, never dropped.
+  if (fault::FaultRegistry::Global().ShouldFail("serve.dispatch")) {
+    const Status injected =
+        Status::Unavailable("injected fault: serve.dispatch");
+    for (size_t j = 0; j < live; ++j) {
       const double now = NowUs();
-      for (const size_t i : live) {
-        const double remaining = batch[i]->deadline_at_us - now;
-        if (first || remaining < min_remaining_us) {
-          min_remaining_us = remaining;
-          first = false;
-        }
-      }
-      opts.deadline_us = static_cast<uint64_t>(
-          std::max(1.0, min_remaining_us));
+      SettleRequest(batch[j].get(), injected, Outcome::kError, nullptr,
+                    /*degraded=*/false, /*rejected=*/false, now, now);
+      batch[j].reset();
     }
+    return;
+  }
 
-    Dataset queries(live.size(), searcher_->data().dim());
-    for (size_t j = 0; j < live.size(); ++j) {
-      queries.SetRow(static_cast<idx_t>(j), batch[live[j]]->query.data());
+  const PendingRequest& head = *batch[0];
+  const size_t k = head.k;
+  SongSearchOptions opts = options_.base_options;
+  opts.queue_size = head.queue_size;
+  opts.cost_budget = head.cost_budget;
+  opts.deadline_us = 0;
+  if (head.deadline_us != 0) {
+    // All batchmates carry deadlines (BatchKey::bounded_deadline); the
+    // engine enforces the tightest remaining one for the whole batch.
+    double min_remaining_us = 0.0;
+    const double now = NowUs();
+    for (size_t j = 0; j < live; ++j) {
+      const double remaining = batch[j]->deadline_at_us - now;
+      if (j == 0 || remaining < min_remaining_us) {
+        min_remaining_us = remaining;
+      }
     }
+    opts.deadline_us = static_cast<uint64_t>(
+        std::max(1.0, min_remaining_us));
+  }
 
-    const double dispatch_us = NowUs();
-    BatchTelemetry telemetry;
-    telemetry.registry = registry_;
-    // The server stamps its own RequestTimeline covering the full network
-    // lifecycle; engine-level per-request records would double-count.
-    telemetry.request_lifecycle = false;
-    BatchAdmission admission;
-    admission.max_inflight = options_.max_inflight;
-    StatusOr<BatchResult> result =
-        engine_.TrySearch(queries, k, opts, telemetry, admission);
-    if (!result.ok()) {
-      const bool shed =
-          result.status().code() == StatusCode::kResourceExhausted;
-      // Over-inflight sheds are retryable: kUnavailable on the wire.
-      const Status settled =
-          shed ? Status::Unavailable(result.status().message())
-               : result.status();
-      for (const size_t i : live) {
-        SettleRequest(batch[i].get(), settled,
-                      shed ? Outcome::kShed : Outcome::kError, nullptr,
-                      /*degraded=*/false, /*rejected=*/false, dispatch_us,
-                      NowUs());
-        batch[i].reset();
-      }
-      continue;
+  Dataset queries(live, searcher_->data().dim());
+  for (size_t j = 0; j < live; ++j) {
+    queries.SetRow(static_cast<idx_t>(j), batch[j]->query.data());
+  }
+
+  const double dispatch_us = NowUs();
+  BatchTelemetry telemetry;
+  telemetry.registry = registry_;
+  // The server stamps its own RequestTimeline covering the full network
+  // lifecycle; engine-level per-request records would double-count.
+  telemetry.request_lifecycle = false;
+  BatchAdmission admission;
+  admission.max_inflight = options_.max_inflight;
+  StatusOr<BatchResult> result =
+      engine_.TrySearch(queries, k, opts, telemetry, admission);
+  if (!result.ok()) {
+    const bool shed =
+        result.status().code() == StatusCode::kResourceExhausted;
+    // Over-inflight sheds are retryable: kUnavailable on the wire.
+    const Status settled =
+        shed ? Status::Unavailable(result.status().message())
+             : result.status();
+    for (size_t j = 0; j < live; ++j) {
+      SettleRequest(batch[j].get(), settled,
+                    shed ? Outcome::kShed : Outcome::kError, nullptr,
+                    /*degraded=*/false, /*rejected=*/false, dispatch_us,
+                    NowUs());
+      batch[j].reset();
     }
-    const BatchResult& br = result.value();
-    const double end_us = NowUs();
-    for (size_t j = 0; j < live.size(); ++j) {
-      PendingRequest* request = batch[live[j]].get();
-      // Query j's search starts at its own offset into the batch, so the
-      // time it spent behind batchmates 0..j-1 counts as batch formation.
-      const double search_begin_us =
-          dispatch_us + static_cast<double>(br.start_offsets_us[j]);
-      const double complete_us = std::min(
-          search_begin_us + static_cast<double>(br.latencies_us[j]), end_us);
-      if (br.rejected[j] != 0) {
-        SettleRequest(request,
-                      Status::InvalidArgument(
-                          "query rejected by validation (NaN/Inf values)"),
-                      Outcome::kError, nullptr, /*degraded=*/false,
-                      /*rejected=*/true, search_begin_us, complete_us);
-      } else {
-        SettleRequest(request, Status::OK(), Outcome::kOk, &br.results[j],
-                      br.degraded[j] != 0, /*rejected=*/false,
-                      search_begin_us, complete_us);
-      }
-      batch[live[j]].reset();
+    return;
+  }
+  const BatchResult& br = result.value();
+  const double end_us = NowUs();
+  for (size_t j = 0; j < live; ++j) {
+    PendingRequest* request = batch[j].get();
+    // Query j's search starts at its own offset into the batch, so the
+    // time it spent behind batchmates 0..j-1 counts as batch formation.
+    const double search_begin_us =
+        dispatch_us + static_cast<double>(br.start_offsets_us[j]);
+    const double complete_us = std::min(
+        search_begin_us + static_cast<double>(br.latencies_us[j]), end_us);
+    if (br.rejected[j] != 0) {
+      SettleRequest(request,
+                    Status::InvalidArgument(
+                        "query rejected by validation (NaN/Inf values)"),
+                    Outcome::kError, nullptr, /*degraded=*/false,
+                    /*rejected=*/true, search_begin_us, complete_us);
+    } else {
+      SettleRequest(request, Status::OK(), Outcome::kOk, &br.results[j],
+                    br.degraded[j] != 0, /*rejected=*/false,
+                    search_begin_us, complete_us);
     }
+    batch[j].reset();
   }
 }
 
@@ -718,7 +818,8 @@ void SongServer::SettleRequest(PendingRequest* request, const Status& status,
     if (results != nullptr) response.results = *results;
     std::vector<uint8_t> out;
     EncodeSearchResponse(response, &out);
-    request->conn->EnqueueFrame(std::move(out));
+    request->conn->EnqueueFrame(std::move(out), timeline.complete_us,
+                                request->inline_dispatch);
     request->conn->NoteSettled();
     request->conn.reset();
   }
@@ -731,6 +832,9 @@ ServeCounterSnapshot SongServer::counters() const {
   snapshot.shed = n_shed_.load(std::memory_order_relaxed);
   snapshot.deadline = n_deadline_.load(std::memory_order_relaxed);
   snapshot.error = n_error_.load(std::memory_order_relaxed);
+  snapshot.batches = n_batches_.load(std::memory_order_relaxed);
+  snapshot.inline_dispatches =
+      n_inline_dispatches_.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -750,6 +854,10 @@ std::string SongServer::ServeStatusJson() const {
   Appendf(&out, "\"max_batch\": %zu, ", options_.max_batch);
   Appendf(&out, "\"max_inflight\": %zu, ", options_.max_inflight);
   Appendf(&out, "\"num_workers\": %zu, ", options_.num_workers);
+  Appendf(&out, "\"batches\": %llu, ",
+          static_cast<unsigned long long>(c.batches));
+  Appendf(&out, "\"inline_dispatches\": %llu, ",
+          static_cast<unsigned long long>(c.inline_dispatches));
   Appendf(&out, "\"accepted\": %llu, ",
           static_cast<unsigned long long>(c.accepted));
   Appendf(&out,
@@ -782,5 +890,11 @@ std::string SongServer::StatuszPayload() const {
 void SongServer::BumpBadFrame() { Bump(c_frames_bad_); }
 void SongServer::BumpReadTimeout() { Bump(c_read_timeouts_); }
 void SongServer::BumpWriteError() { Bump(c_write_errors_); }
+
+void SongServer::ObserveRespond(double settled_us) {
+  if (h_respond_us_ != nullptr) {
+    h_respond_us_->Observe(std::max(0.0, NowUs() - settled_us));
+  }
+}
 
 }  // namespace song::serve

@@ -9,13 +9,18 @@
 //   song.serve.accepted == song.serve.outcome.ok + .shed + .deadline + .error
 //
 // Threads: one accept loop, one reader + one writer per connection, and
-// `num_workers` scheduler workers. Readers decode frames and Push; workers
-// PopBatch (an idle worker claims queued work at once), triage
-// queue-expired deadlines, dispatch through BatchEngine::TrySearch, and
-// settle every claimed request. Writers drain per-connection outboxes so a
-// slow client stalls only its own socket, never a scheduler worker. A
-// client disconnect does not lose accounting: the request still settles
-// (its response write fails and is counted in song.serve.write_errors).
+// `num_workers` scheduler workers. At most `num_workers` batches dispatch at
+// once (RequestQueue's dispatch slots). A reader that decodes a request on
+// an idle server — nothing queued, a slot free, no further bytes waiting on
+// its socket — runs it itself as a batch of one and writes the response
+// straight to its socket (run to completion). Every other request is
+// Pushed; workers PopBatch (an idle worker claims queued work at once). One
+// dispatch body serves both: it triages queue-expired deadlines, dispatches
+// through BatchEngine::TrySearch and settles every claimed request. Writers
+// drain per-connection outboxes so a slow client stalls only its own
+// socket, never a scheduler worker. A client disconnect does not lose
+// accounting: the request still settles (its response write fails and is
+// counted in song.serve.write_errors).
 //
 // Drain (SIGTERM/SIGINT in the song_server binary): RequestDrain() stops
 // admission — readers shed new search requests with kUnavailable — then
@@ -53,8 +58,9 @@ struct ServerOptions {
   size_t max_connections = 64;
   size_t queue_capacity = 256;   ///< pending requests before shedding
   size_t max_batch = 32;         ///< scheduler batch ceiling
-  size_t num_workers = 2;        ///< scheduler threads (0 = test-only: queue
-                                 ///< drains as shed at Drain())
+  size_t num_workers = 2;        ///< scheduler threads and dispatch slots
+                                 ///< (0 = test-only: nothing dispatches;
+                                 ///< the queue drains as shed at Drain())
   size_t engine_threads = 0;     ///< BatchEngine workers, 0 = hardware
   size_t max_inflight = 0;       ///< engine admission (0 = unlimited)
   int io_timeout_ms = 5000;      ///< slow-client read/write bound
@@ -68,13 +74,17 @@ struct ServerOptions {
 };
 
 /// Outcome counters as settled so far (reads are relaxed snapshots; after
-/// Drain() they are exact and conserve: accepted == ok+shed+deadline+error).
+/// Drain() they are exact and conserve: accepted == ok+shed+deadline+error),
+/// plus the batches dispatched and how many of those ran inline on the
+/// reader that decoded them (inline_dispatches <= batches).
 struct ServeCounterSnapshot {
   uint64_t accepted = 0;
   uint64_t ok = 0;
   uint64_t shed = 0;
   uint64_t deadline = 0;
   uint64_t error = 0;
+  uint64_t batches = 0;
+  uint64_t inline_dispatches = 0;
 };
 
 class SongServer {
@@ -136,7 +146,14 @@ class SongServer {
   enum class Outcome { kOk, kShed, kDeadline, kError };
 
   void AcceptLoop();
+  /// PopBatch -> DispatchBatch -> Release until the queue closes and drains.
   void WorkerLoop();
+  /// The dispatch body shared by workers and inline readers: settles
+  /// requests that expired while queued, then searches the rest as one
+  /// engine batch and settles each. `batch[0..n)` was claimed at
+  /// `claim_us`; the caller holds a dispatch slot.
+  void DispatchBatch(std::unique_ptr<PendingRequest>* batch, size_t n,
+                     double claim_us);
   /// Sweeps finished connections (joins their threads). `all` waits for
   /// and joins every connection (drain path).
   void ReapConnections(bool all);
@@ -151,14 +168,19 @@ class SongServer {
                      double complete_us);
 
   /// Builds, admits and settles-on-refusal one decoded request; called by
-  /// connection readers. Bumps song.serve.accepted.
+  /// connection readers. Bumps song.serve.accepted. With `socket_idle` (no
+  /// further request bytes waiting on the connection) and an idle server,
+  /// dispatches it on the calling reader; otherwise Pushes it.
   void AdmitRequest(SearchRequestFrame frame,
-                    const std::shared_ptr<Connection>& conn);
+                    const std::shared_ptr<Connection>& conn,
+                    bool socket_idle);
 
-  // Connection-reader hooks for stream-level failures (not per-request).
+  // Connection hooks for stream-level failures (not per-request).
   void BumpBadFrame();
   void BumpReadTimeout();
   void BumpWriteError();
+  /// A response settled at `settled_us` has had its last byte written.
+  void ObserveRespond(double settled_us);
 
   double NowUs() const { return clock_.ElapsedMicros(); }
 
@@ -203,11 +225,13 @@ class SongServer {
   obs::Counter* c_write_errors_ = nullptr;
   obs::Counter* c_read_timeouts_ = nullptr;
   obs::Counter* c_batches_ = nullptr;
+  obs::Counter* c_inline_dispatches_ = nullptr;
   obs::Counter* c_drains_ = nullptr;
   obs::Gauge* g_queue_depth_ = nullptr;
   obs::Gauge* g_connections_ = nullptr;
   obs::Gauge* g_draining_ = nullptr;
   obs::Histogram* h_batch_size_ = nullptr;
+  obs::Histogram* h_respond_us_ = nullptr;
 
   // Registry-independent mirrors so counters()/conservation checks work
   // (and stay exact) even with telemetry off.
@@ -216,6 +240,8 @@ class SongServer {
   std::atomic<uint64_t> n_shed_{0};
   std::atomic<uint64_t> n_deadline_{0};
   std::atomic<uint64_t> n_error_{0};
+  std::atomic<uint64_t> n_batches_{0};
+  std::atomic<uint64_t> n_inline_dispatches_{0};
 };
 
 }  // namespace song::serve

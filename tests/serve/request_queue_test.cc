@@ -1,8 +1,9 @@
 // Tests for the serving tier's admission queue and work-conserving batching
 // claim primitive (src/serve/request_queue.h): FIFO claim order, key
 // compatibility grouping, claims that never wait for a fuller batch, the
-// depth each call leaves behind, explicit backpressure (full / closed), and
-// the drain protocol.
+// depth each call leaves behind, explicit backpressure (full / closed), the
+// drain protocol, and the dispatch slots that bound batches in dispatch
+// across workers and inline readers.
 
 #include <atomic>
 #include <chrono>
@@ -30,7 +31,7 @@ std::unique_ptr<PendingRequest> MakeRequest(uint64_t id, uint32_t k = 10,
 }
 
 TEST(RequestQueue, ClaimsInArrivalOrder) {
-  RequestQueue queue(8);
+  RequestQueue queue(8, /*slots=*/1);
   for (uint64_t i = 0; i < 5; ++i) {
     auto r = MakeRequest(i);
     ASSERT_TRUE(queue.Push(r).ok());
@@ -43,7 +44,7 @@ TEST(RequestQueue, ClaimsInArrivalOrder) {
 }
 
 TEST(RequestQueue, FullQueueIsResourceExhausted) {
-  RequestQueue queue(2);
+  RequestQueue queue(2, /*slots=*/1);
   auto a = MakeRequest(1);
   auto b = MakeRequest(2);
   auto c = MakeRequest(3);
@@ -59,7 +60,7 @@ TEST(RequestQueue, FullQueueIsResourceExhausted) {
 }
 
 TEST(RequestQueue, ClosedQueueIsUnavailable) {
-  RequestQueue queue(4);
+  RequestQueue queue(4, /*slots=*/1);
   queue.Close();
   auto r = MakeRequest(1);
   const Status refused = queue.Push(r);
@@ -69,7 +70,7 @@ TEST(RequestQueue, ClosedQueueIsUnavailable) {
 }
 
 TEST(RequestQueue, IncompatibleKeysStayQueued) {
-  RequestQueue queue(8);
+  RequestQueue queue(8, /*slots=*/1);
   auto a = MakeRequest(1, /*k=*/10, /*ef=*/64);
   auto b = MakeRequest(2, /*k=*/10, /*ef=*/128);  // different ef
   auto c = MakeRequest(3, /*k=*/10, /*ef=*/64);
@@ -81,13 +82,14 @@ TEST(RequestQueue, IncompatibleKeysStayQueued) {
   ASSERT_EQ(n, 2u);  // 1 and 3 share the key; 2 must wait its turn
   EXPECT_EQ(out[0]->request_id, 1u);
   EXPECT_EQ(out[1]->request_id, 3u);
+  queue.Release();
   n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 1u);
   EXPECT_EQ(out[0]->request_id, 2u);
 }
 
 TEST(RequestQueue, DeadlineFreeNeverBatchesWithDeadlineCarrying) {
-  RequestQueue queue(8);
+  RequestQueue queue(8, /*slots=*/1);
   auto a = MakeRequest(1, 10, 64, /*deadline_us=*/0);
   auto b = MakeRequest(2, 10, 64, /*deadline_us=*/500);
   ASSERT_TRUE(queue.Push(a).ok());
@@ -99,7 +101,7 @@ TEST(RequestQueue, DeadlineFreeNeverBatchesWithDeadlineCarrying) {
 }
 
 TEST(RequestQueue, LoneRequestIsClaimedAsABatchOfOne) {
-  RequestQueue queue(8);
+  RequestQueue queue(8, /*slots=*/1);
   auto r = MakeRequest(1);
   size_t depth = 99;
   ASSERT_TRUE(queue.Push(r, &depth).ok());
@@ -115,7 +117,7 @@ TEST(RequestQueue, LoneRequestIsClaimedAsABatchOfOne) {
 }
 
 TEST(RequestQueue, SweepsQueuedCompatibleRequestsUpToMaxBatch) {
-  RequestQueue queue(16);
+  RequestQueue queue(16, /*slots=*/1);
   size_t depth = 0;
   for (uint64_t i = 0; i < 7; ++i) {
     // Request 2 carries a different ef and must be skipped, not claimed.
@@ -131,10 +133,12 @@ TEST(RequestQueue, SweepsQueuedCompatibleRequestsUpToMaxBatch) {
   EXPECT_EQ(out[2]->request_id, 3u);
   EXPECT_EQ(out[3]->request_id, 4u);
   EXPECT_EQ(depth, 3u);  // 2, 5 and 6 are left behind
+  queue.Release();
   n = queue.PopBatch(out.data(), 4, &depth);
   ASSERT_EQ(n, 1u);
   EXPECT_EQ(out[0]->request_id, 2u);
   EXPECT_EQ(depth, 2u);
+  queue.Release();
   n = queue.PopBatch(out.data(), 4, &depth);
   ASSERT_EQ(n, 2u);
   EXPECT_EQ(out[0]->request_id, 5u);
@@ -143,7 +147,7 @@ TEST(RequestQueue, SweepsQueuedCompatibleRequestsUpToMaxBatch) {
 }
 
 TEST(RequestQueue, IdleClaimerTakesNewWorkWhileTheOtherHoldsABatch) {
-  RequestQueue queue(8);
+  RequestQueue queue(8, /*slots=*/2);
   std::atomic<int> claimed{0};
   std::atomic<bool> release{false};
   std::vector<size_t> sizes(2, 0);
@@ -187,7 +191,7 @@ TEST(RequestQueue, IdleClaimerTakesNewWorkWhileTheOtherHoldsABatch) {
 }
 
 TEST(RequestQueue, CloseWakesBlockedWorkers) {
-  RequestQueue queue(8);
+  RequestQueue queue(8, /*slots=*/3);
   std::atomic<int> exited{0};
   std::vector<std::thread> workers;
   workers.reserve(3);
@@ -196,6 +200,7 @@ TEST(RequestQueue, CloseWakesBlockedWorkers) {
       std::vector<std::unique_ptr<PendingRequest>> out(4);
       while (queue.PopBatch(out.data(), 4) != 0) {
         for (auto& r : out) r.reset();
+        queue.Release();
       }
       exited.fetch_add(1);
     });
@@ -207,7 +212,7 @@ TEST(RequestQueue, CloseWakesBlockedWorkers) {
 }
 
 TEST(RequestQueue, TakeAllDrainsEverything) {
-  RequestQueue queue(8);
+  RequestQueue queue(8, /*slots=*/1);
   for (uint64_t i = 0; i < 4; ++i) {
     auto r = MakeRequest(i, 10, 64, i % 2 == 0 ? 0 : 100);
     ASSERT_TRUE(queue.Push(r).ok());
@@ -219,7 +224,7 @@ TEST(RequestQueue, TakeAllDrainsEverything) {
 }
 
 TEST(RequestQueue, ConcurrentPushersAndClaimersConserveRequests) {
-  RequestQueue queue(64);
+  RequestQueue queue(64, /*slots=*/2);
   constexpr int kPushers = 4;
   constexpr int kPerPusher = 200;
   std::atomic<uint64_t> pushed{0};
@@ -237,6 +242,7 @@ TEST(RequestQueue, ConcurrentPushersAndClaimersConserveRequests) {
         if (n == 0) return;  // closed and empty
         claimed.fetch_add(n);
         for (size_t i = 0; i < n; ++i) out[i].reset();
+        queue.Release();
       }
     });
   }
@@ -263,6 +269,115 @@ TEST(RequestQueue, ConcurrentPushersAndClaimersConserveRequests) {
   EXPECT_EQ(pushed.load() + refused.load(),
             static_cast<uint64_t>(kPushers) * kPerPusher);
   EXPECT_EQ(claimed.load() + queue.TakeAll().size(), pushed.load());
+}
+
+TEST(RequestQueue, TryClaimIdleRefusesQueuedWorkFullSlotsAndClose) {
+  RequestQueue queue(8, /*slots=*/2);
+  // Idle: nothing queued and a slot free.
+  ASSERT_TRUE(queue.TryClaimIdle());
+  // A queued request must reach a worker first: never overtaken inline.
+  auto r = MakeRequest(1);
+  ASSERT_TRUE(queue.Push(r).ok());
+  EXPECT_FALSE(queue.TryClaimIdle());
+  std::vector<std::unique_ptr<PendingRequest>> out(4);
+  ASSERT_EQ(queue.PopBatch(out.data(), 4), 1u);  // takes the second slot
+  // Queue empty again, but both slots are taken.
+  EXPECT_FALSE(queue.TryClaimIdle());
+  queue.Release();
+  EXPECT_TRUE(queue.TryClaimIdle());
+  queue.Release();
+  queue.Release();
+  queue.Close();
+  EXPECT_FALSE(queue.TryClaimIdle());
+  // A server without workers has no slots: nothing ever dispatches.
+  RequestQueue no_workers(8, /*slots=*/0);
+  EXPECT_FALSE(no_workers.TryClaimIdle());
+}
+
+TEST(RequestQueue, PopBatchWaitsForAFreeSlot) {
+  RequestQueue queue(8, /*slots=*/1);
+  ASSERT_TRUE(queue.TryClaimIdle());  // an inline reader holds the slot
+  auto r = MakeRequest(7);
+  ASSERT_TRUE(queue.Push(r).ok());
+  std::atomic<size_t> claimed{0};
+  std::thread worker([&]() {
+    std::vector<std::unique_ptr<PendingRequest>> out(4);
+    claimed.store(queue.PopBatch(out.data(), 4));
+    if (claimed.load() > 0) queue.Release();
+  });
+  // Work is queued, but the only slot is held: the worker must not claim.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(claimed.load(), 0u);
+  EXPECT_EQ(queue.Size(), 1u);
+  queue.Release();
+  worker.join();
+  EXPECT_EQ(claimed.load(), 1u);
+  EXPECT_EQ(queue.Size(), 0u);
+}
+
+TEST(RequestQueue, ClosedQueueStillFlushesThroughSlots) {
+  RequestQueue queue(8, /*slots=*/1);
+  auto r = MakeRequest(1);
+  ASSERT_TRUE(queue.Push(r).ok());
+  queue.Close();
+  std::vector<std::unique_ptr<PendingRequest>> out(4);
+  // Drain: queued work is still claimed after Close, then the exit signal.
+  ASSERT_EQ(queue.PopBatch(out.data(), 4), 1u);
+  queue.Release();
+  EXPECT_EQ(queue.PopBatch(out.data(), 4), 0u);
+}
+
+TEST(RequestQueue, DispatchesNeverExceedTheSlotsUnderContention) {
+  constexpr size_t kSlots = 2;
+  RequestQueue queue(16, kSlots);
+  std::atomic<int> in_dispatch{0};
+  std::atomic<int> peak{0};
+  std::atomic<uint64_t> dispatched{0};
+  std::atomic<uint64_t> pushed{0};
+  // Between taking a slot and releasing it a claimer is "dispatching"; the
+  // shared count must never pass the slot count, whoever holds the slots.
+  const auto dispatch = [&](size_t batch) {
+    const int now = in_dispatch.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::yield();
+    dispatched.fetch_add(batch);
+    in_dispatch.fetch_sub(1);
+    queue.Release();
+  };
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kSlots; ++w) {
+    threads.emplace_back([&]() {  // scheduler workers
+      std::vector<std::unique_ptr<PendingRequest>> out(8);
+      for (;;) {
+        const size_t n = queue.PopBatch(out.data(), 8);
+        if (n == 0) return;
+        for (size_t i = 0; i < n; ++i) out[i].reset();
+        dispatch(n);
+      }
+    });
+  }
+  for (int p = 0; p < 3; ++p) {
+    threads.emplace_back([&, p]() {  // readers: inline when idle, else push
+      for (int i = 0; i < 2000; ++i) {
+        if (queue.TryClaimIdle()) {
+          pushed.fetch_add(1);
+          dispatch(1);
+          continue;
+        }
+        auto r = MakeRequest(static_cast<uint64_t>(p) * 10000 + i);
+        if (queue.Push(r).ok()) pushed.fetch_add(1);
+      }
+    });
+  }
+  for (size_t t = kSlots; t < threads.size(); ++t) threads[t].join();
+  queue.Close();
+  for (size_t t = 0; t < kSlots; ++t) threads[t].join();
+  EXPECT_LE(peak.load(), static_cast<int>(kSlots));
+  EXPECT_GE(peak.load(), 1);
+  // Every admitted request was dispatched exactly once, on either path.
+  EXPECT_EQ(dispatched.load(), pushed.load());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // In-process integration tests for the framed TCP serving front-end
 // (src/serve/server.h): exact results against a direct engine run,
 // the outcome taxonomy (ok / shed / deadline / error), overload shedding,
-// graceful drain, hostile streams, and the conservation invariant
+// graceful drain, hostile streams, who dispatches (inline on an idle
+// server, the workers for a pipelined backlog, never more batches at once
+// than workers), write-through failures, and the conservation invariant
 //
 //   accepted == ok + shed + deadline + error
 //
@@ -13,12 +15,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/fault_injection.h"
 #include "core/timer.h"
 #include "data/synthetic.h"
 #include "graph/nsw_builder.h"
@@ -59,6 +63,22 @@ struct ServeFixture {
   }
 };
 
+std::vector<uint8_t> EncodeSearch(uint64_t tag, const std::vector<float>& query,
+                                  uint32_t k, uint32_t ef = 0,
+                                  uint64_t deadline_us = 0,
+                                  uint64_t cost_budget = 0) {
+  SearchRequestFrame request;
+  request.client_tag = tag;
+  request.k = k;
+  request.queue_size = ef;
+  request.deadline_us = deadline_us;
+  request.cost_budget = cost_budget;
+  request.query = query;
+  std::vector<uint8_t> wire;
+  EncodeSearchRequest(request, &wire);
+  return wire;
+}
+
 /// Minimal framed-protocol client: one blocking connection driven from the
 /// test thread.
 class TestClient {
@@ -74,20 +94,23 @@ class TestClient {
   Status SendSearch(uint64_t tag, const std::vector<float>& query,
                     uint32_t k, uint32_t ef = 0, uint64_t deadline_us = 0,
                     uint64_t cost_budget = 0) {
-    SearchRequestFrame request;
-    request.client_tag = tag;
-    request.k = k;
-    request.queue_size = ef;
-    request.deadline_us = deadline_us;
-    request.cost_budget = cost_budget;
-    request.query = query;
-    std::vector<uint8_t> wire;
-    EncodeSearchRequest(request, &wire);
-    return transport_->WriteBytes(wire);
+    return transport_->WriteBytes(
+        EncodeSearch(tag, query, k, ef, deadline_us, cost_budget));
   }
 
   Status SendRaw(const std::vector<uint8_t>& bytes) {
     return transport_->WriteBytes(bytes);
+  }
+
+  /// Closes with an RST (SO_LINGER 0): the server's next write to this
+  /// connection fails with ECONNRESET/EPIPE instead of being accepted.
+  void ResetClose() {
+    if (fd_ >= 0) {
+      struct linger hard = {1, 0};
+      ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+      ::close(fd_);
+      fd_ = -1;
+    }
   }
 
   StatusOr<SearchResponseFrame> ReadResponse() {
@@ -148,6 +171,16 @@ std::vector<float> QueryRow(size_t i) {
 /// one-worker server busy while the requests sent after it queue up.
 constexpr uint32_t kBlockerEf = 1024;
 constexpr uint64_t kBlockerTag = 1000;
+
+/// Spins until the server has dispatched `n` batches (so the blocker holds
+/// its dispatch slot), or ten seconds pass.
+void WaitForBatches(const SongServer& server, uint64_t n) {
+  Timer wait;
+  while (server.counters().batches < n && wait.ElapsedSeconds() < 10.0) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(server.counters().batches, n);
+}
 
 TEST(ServeServer, ResultsMatchDirectEngineRun) {
   const ServeFixture& fx = ServeFixture::Get();
@@ -231,21 +264,33 @@ TEST(ServeServer, ExpiredDeadlineSettlesAsDeadlineOutcome) {
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
 
-  // The blocker occupies the only worker, so the 1 us deadline request is
-  // claimed only after the blocker's search: long after it expired, which
-  // makes the queue-expiry path deterministic.
-  TestClient client(server.port());
-  ASSERT_TRUE(client.SendSearch(kBlockerTag, QueryRow(1), 10, kBlockerEf)
-                  .ok());
-  ASSERT_TRUE(client.SendSearch(9, QueryRow(0), 10, 0, /*deadline_us=*/1)
-                  .ok());
+  // The blocker on connection A takes the only dispatch slot (inline on its
+  // reader, or on the worker). The 1 us deadline request on connection B
+  // then queues behind that slot and is claimed only after the blocker's
+  // search: long after it expired, which makes the queue-expiry path
+  // deterministic. A trailing ping keeps B's socket non-idle, so its reader
+  // pushes the request even if the blocker already finished.
+  TestClient a(server.port());
+  TestClient b(server.port());
+  ASSERT_TRUE(a.SendSearch(kBlockerTag, QueryRow(1), 10, kBlockerEf).ok());
+  WaitForBatches(server, 1);
+  std::vector<uint8_t> wire =
+      EncodeSearch(9, QueryRow(0), 10, 0, /*deadline_us=*/1);
+  AppendFrame(FrameType::kPing, nullptr, 0, &wire);
+  ASSERT_TRUE(b.SendRaw(wire).ok());
+
+  const auto blocked = a.ReadResponse();
+  ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+  EXPECT_EQ(blocked.value().client_tag, kBlockerTag);
+  EXPECT_EQ(blocked.value().status_code, 0);
   for (int i = 0; i < 2; ++i) {
-    const auto response = client.ReadResponse();
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    if (response.value().client_tag == kBlockerTag) {
-      EXPECT_EQ(response.value().status_code, 0);
-      continue;
-    }
+    const auto frame = b.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    if (frame.value().type == FrameType::kPong) continue;
+    ASSERT_EQ(frame.value().type, FrameType::kSearchResponse);
+    const auto response = DecodeSearchResponse(frame.value().payload.data(),
+                                               frame.value().payload.size());
+    ASSERT_TRUE(response.ok());
     EXPECT_EQ(response.value().client_tag, 9u);
     EXPECT_EQ(response.value().status_code,
               static_cast<int32_t>(StatusCode::kDeadlineExceeded));
@@ -464,6 +509,189 @@ TEST(ServeServer, StartAfterDrainIsRefusedAndDrainIsIdempotent) {
   ASSERT_FALSE(server.Start().ok());  // double start
   ASSERT_TRUE(server.Drain().ok());
   ASSERT_TRUE(server.Drain().ok());  // idempotent
+  ExpectConservation(server);
+}
+
+TEST(ServeServer, IdleServerAnswersOnTheReaderThread) {
+  const ServeFixture& fx = ServeFixture::Get();
+  const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.engine_threads = 1;
+  obs::MetricsRegistry registry;
+  SongServer server(&searcher, options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.SendSearch(5, QueryRow(5), 10).ok());
+  const auto response = client.ReadResponse();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status_code, 0);
+  ASSERT_TRUE(server.Drain().ok());
+
+  const ServeCounterSnapshot c = server.counters();
+  EXPECT_EQ(c.batches, 1u);
+  EXPECT_EQ(c.inline_dispatches, 1u);
+  const obs::Histogram& sizes = registry.GetHistogram("song.serve.batch_size");
+  EXPECT_EQ(sizes.Count(), 1u);
+  EXPECT_EQ(sizes.ObservedMax(), 1.0);
+  // No queue stage: the reader claimed its own request at decode time, so
+  // the response's queue_us is batch formation alone.
+  const std::vector<obs::RequestRecord> records =
+      server.flight_recorder().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].queue_us, 0.0f);
+  EXPECT_EQ(response.value().queue_us, records[0].batch_form_us);
+  // Write-through still records the respond stage.
+  EXPECT_EQ(registry.GetHistogram("song.req.respond_us").Count(), 1u);
+  ExpectConservation(server);
+}
+
+TEST(ServeServer, PipelinedBurstStillReachesTheWorkers) {
+  const ServeFixture& fx = ServeFixture::Get();
+  const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.engine_threads = 1;
+  obs::MetricsRegistry registry;
+  SongServer server(&searcher, options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  // One write carrying a blocker and 31 more requests: the reader sees
+  // bytes waiting behind each frame but the last, so it pushes them, and
+  // the worker sweeps the backlog that builds behind the blocker.
+  constexpr uint64_t kBurst = 32;
+  std::vector<uint8_t> burst =
+      EncodeSearch(kBlockerTag, QueryRow(0), 10, kBlockerEf);
+  for (uint64_t tag = 1; tag < kBurst; ++tag) {
+    const std::vector<uint8_t> frame = EncodeSearch(tag, QueryRow(tag), 10);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  TestClient client(server.port());
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+  for (uint64_t i = 0; i < kBurst; ++i) {
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status_code, 0);
+  }
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_GT(registry.GetHistogram("song.serve.batch_size").ObservedMax(),
+            1.0);
+  const ServeCounterSnapshot c = server.counters();
+  EXPECT_EQ(c.ok, kBurst);
+  EXPECT_LT(c.inline_dispatches, c.batches);
+  EXPECT_EQ(registry.GetHistogram("song.req.respond_us").Count(), kBurst);
+  ExpectConservation(server);
+}
+
+TEST(ServeServer, DispatchSlotsBoundBatchesAcrossBothPaths) {
+  const ServeFixture& fx = ServeFixture::Get();
+  const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  ServerOptions options;
+  options.num_workers = 2;
+  options.engine_threads = 1;
+  // The engine sheds a batch past max_inflight: with slots bounding inline
+  // readers and workers together, it never has cause to.
+  options.max_inflight = options.num_workers;
+  obs::MetricsRegistry registry;
+  SongServer server(&searcher, options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 8;
+  constexpr uint64_t kPerClient = 40;
+  std::atomic<uint64_t> answered_ok{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t]() {
+      TestClient client(server.port());
+      for (uint64_t i = 0; i < kPerClient; ++i) {
+        const size_t row = static_cast<size_t>(t) * kPerClient + i;
+        if (!client.SendSearch(row, QueryRow(row), 10).ok()) return;
+        const auto response = client.ReadResponse();
+        if (!response.ok()) return;
+        if (response.value().status_code == 0) answered_ok.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(registry.GetCounter("song.batch.shed").Value(), 0u);
+  EXPECT_EQ(answered_ok.load(), kClients * kPerClient);
+  const ServeCounterSnapshot c = server.counters();
+  EXPECT_EQ(c.ok, kClients * kPerClient);
+  EXPECT_LE(c.inline_dispatches, c.batches);
+  ExpectConservation(server);
+}
+
+TEST(ServeServer, ClientVanishingBeforeItsInlineResponseIsAWriteError) {
+  const ServeFixture& fx = ServeFixture::Get();
+  const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.engine_threads = 1;
+  // The idle server runs the blocker on the reader; the client resets the
+  // connection right after sending, normally long before that search ends,
+  // so the write-through send meets a dead peer. A client thread descheduled
+  // past the whole search loses the race and its response is delivered;
+  // every attempt must still settle exactly once and account the response
+  // as either written or lost, and the loss must show within a few tries.
+  bool saw_write_error = false;
+  for (int attempt = 0; attempt < 20 && !saw_write_error; ++attempt) {
+    obs::MetricsRegistry registry;
+    SongServer server(&searcher, options, &registry);
+    ASSERT_TRUE(server.Start().ok());
+    {
+      TestClient client(server.port());
+      ASSERT_TRUE(
+          client.SendSearch(kBlockerTag, QueryRow(3), 10, kBlockerEf).ok());
+      client.ResetClose();
+    }
+    Timer wait;
+    while (server.counters().ok == 0 && wait.ElapsedSeconds() < 10.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(server.Drain().ok());
+    const ServeCounterSnapshot c = server.counters();
+    EXPECT_EQ(c.accepted, 1u);
+    EXPECT_EQ(c.ok, 1u);  // settled once, as answered
+    EXPECT_EQ(c.inline_dispatches, 1u);
+    EXPECT_EQ(registry.GetHistogram("song.req.total_us").Count(), 1u);
+    const uint64_t write_errors =
+        registry.GetCounter("song.serve.write_errors").Value();
+    EXPECT_EQ(write_errors +
+                  registry.GetHistogram("song.req.respond_us").Count(),
+              1u);
+    ExpectConservation(server);
+    saw_write_error = write_errors == 1;
+  }
+  EXPECT_TRUE(saw_write_error);
+}
+
+TEST(ServeServer, WriteFaultCoversTheWriteThroughSend) {
+  const ServeFixture& fx = ServeFixture::Get();
+  const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  ServerOptions options;
+  options.num_workers = 1;
+  obs::MetricsRegistry registry;
+  SongServer server(&searcher, options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The idle server answers inline, so the first serve.write roll is the
+  // write-through send's: the fault severs the connection exactly as it
+  // does on the writer thread.
+  fault::ScopedFaultSpec faults("serve.write=1@1", 7);
+  ASSERT_TRUE(faults.status().ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.SendSearch(1, QueryRow(1), 10).ok());
+  EXPECT_FALSE(client.ReadFrame().ok());  // severed, no response
+  ASSERT_TRUE(server.Drain().ok());
+  const ServeCounterSnapshot c = server.counters();
+  EXPECT_EQ(c.accepted, 1u);
+  EXPECT_EQ(c.ok, 1u);
+  EXPECT_EQ(c.inline_dispatches, 1u);
+  EXPECT_EQ(registry.GetCounter("song.serve.write_errors").Value(), 1u);
+  EXPECT_EQ(registry.GetHistogram("song.req.respond_us").Count(), 0u);
   ExpectConservation(server);
 }
 

@@ -19,8 +19,10 @@ scalar so the gate tests the *shape* of the profile (one structure suddenly
 are microsecond cells on shared runners.
 
 --self-test verifies the gate's own discrimination: the baselines must pass
-against themselves, and a synthesized candidate with every metric doubled
-must fail. Exits 0 only if both hold.
+against themselves, and a synthesized candidate slowed by 2 x (1 +
+tolerance) must fail. The planted factor follows the tolerance so it lands
+strictly past the 1 + tolerance threshold at any tolerance. Exits 0 only if
+both hold.
 
 Exit codes: 0 = pass, 1 = regression detected (or self-test failure),
 2 = usage / IO / schema error. Missing candidate rows or files warn and are
@@ -163,17 +165,20 @@ def self_test(baseline, tolerance, normalize):
             print("  " + r, file=sys.stderr)
         return 1
 
+    # Twice the threshold: a planted cell must land strictly past
+    # 1 + tolerance, never on it.
+    factor = 2.0 * (1.0 + tolerance)
     slowed = {}
     for name, doc in base_docs.items():
         doc2 = copy.deepcopy(doc)
         for row in doc2.get("results", []):
             key = metric_key(row)
             if key is not None:
-                row[key] = float(row[key]) * 2.0
+                row[key] = float(row[key]) * factor
         slowed[name] = doc2
     regs, _ = run_gate(baseline, slowed, tolerance, normalize)
     if normalize:
-        # A uniform 2x is exactly what normalization forgives (it looks
+        # A uniform slowdown is exactly what normalization forgives (it looks
         # like a slower machine); plant the slowdown in a quarter of the
         # cells instead, so the median stays ~1.0 and the planted cells
         # stand out as genuine shape changes.
@@ -183,15 +188,15 @@ def self_test(baseline, tolerance, normalize):
             for i, row in enumerate(doc2.get("results", [])):
                 key = metric_key(row)
                 if key is not None and i % 4 == 0:
-                    row[key] = float(row[key]) * 2.0
+                    row[key] = float(row[key]) * factor
             slowed[name] = doc2
         regs, _ = run_gate(baseline, slowed, tolerance, normalize)
     if not regs:
-        print("bench_gate: SELF-TEST FAILED: planted 2x slowdown was not "
-              "detected (tolerance too lax?)", file=sys.stderr)
+        print("bench_gate: SELF-TEST FAILED: planted %.2fx slowdown was not "
+              "detected" % factor, file=sys.stderr)
         return 1
     print("bench_gate: self-test OK over %d cells (pass on identity, fail "
-          "on planted 2x)" % compared)
+          "on planted %.2fx)" % (compared, factor))
     return 0
 
 

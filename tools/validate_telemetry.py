@@ -33,10 +33,12 @@ Checks (see docs/observability.md for the formats):
     batching configuration and the outcome counters, and those counters
     must conserve: ok + shed + deadline + error never exceeds accepted,
     with exact equality once the server has drained (draining true, no
-    live connections).
+    live connections). Its batches dispatched inline on a reader are a
+    subset of all batches: inline_dispatches <= batches.
   * song.serve.* metrics, when present in any metrics document: the
     outcome counters must exist alongside song.serve.accepted and obey
-    the same conservation bound.
+    the same conservation bound, and song.serve.inline_dispatches never
+    exceeds song.serve.batches.
 
 Exit code 0 = all artifacts valid, 1 = validation failure, 2 = usage.
 """
@@ -181,6 +183,15 @@ def validate_metrics_doc(doc, label="metrics-json"):
         check(outcome_sum <= counters["song.serve.accepted"],
               f"{label}: serve outcomes sum {outcome_sum} exceeds "
               f"accepted {counters['song.serve.accepted']}")
+    if "song.serve.inline_dispatches" in counters:
+        check("song.serve.batches" in counters,
+              f"{label}: song.serve.inline_dispatches present but "
+              f"song.serve.batches missing")
+        check(counters["song.serve.inline_dispatches"] <=
+              counters["song.serve.batches"],
+              f"{label}: song.serve.inline_dispatches "
+              f"{counters['song.serve.inline_dispatches']} exceeds "
+              f"song.serve.batches {counters['song.serve.batches']}")
 
     # Request-lifecycle telescoping: the four song.req.* stage histograms
     # must agree on count, and total must be the sum of the three stages.
@@ -265,7 +276,8 @@ def validate_flight_recorder(path):
 def validate_serve_doc(doc, label="statusz.serve"):
     check(isinstance(doc, dict), f"{label}: not an object")
     for key in ("port", "connections", "queue_depth", "queue_capacity",
-                "max_batch", "max_inflight", "num_workers", "accepted"):
+                "max_batch", "max_inflight", "num_workers", "batches",
+                "inline_dispatches", "accepted"):
         check(isinstance(doc.get(key), int) and doc[key] >= 0,
               f"{label}: {key!r} not a non-negative int: {doc.get(key)!r}")
     check(isinstance(doc.get("draining"), bool),
@@ -273,6 +285,9 @@ def validate_serve_doc(doc, label="statusz.serve"):
     check(doc["queue_depth"] <= doc["queue_capacity"],
           f"{label}: queue_depth {doc['queue_depth']} exceeds capacity "
           f"{doc['queue_capacity']}")
+    check(doc["inline_dispatches"] <= doc["batches"],
+          f"{label}: inline_dispatches {doc['inline_dispatches']} exceeds "
+          f"batches {doc['batches']}")
     outcomes = doc.get("outcomes")
     check(isinstance(outcomes, dict), f"{label}: missing outcomes object")
     for key in ("ok", "shed", "deadline", "error"):
