@@ -1,19 +1,19 @@
 // Copyright 2026 The SONG-Repro Authors.
 //
 // Deterministic, seeded fault injection for resilience testing. Call sites
-// name themselves ("shard0.kernel", "io.read", "device.alloc") and ask
+// name themselves ("transfer.htod", "io.read", "serve.write") and ask
 // ShouldFail(site); a registry of (pattern -> probability) rules decides.
 // Decisions are a pure function of (seed, site name, per-site attempt
 // counter), so a given spec + seed produces the same failure sequence on
 // every run regardless of wall clock or thread scheduling — the property
-// the CI fault leg and the sharded-failure tests rely on.
+// the fault-injection tests and the serving soak rely on.
 //
 // Spec syntax (CLI --fault-spec / SONG_FAULT_SPEC environment variable):
 //
 //   site=probability[@max][,site=probability[@max]...]
 //
-//   shard0.kernel=1          shard 0's kernel fails every attempt
-//   shard*.kernel=0.05       every shard kernel fails 5% of attempts
+//   transfer.htod=1          every simulated host-to-device upload fails
+//   serve.*=0.05             every serving site fails 5% of attempts
 //   io.read=1@2              the first two io.read checks fail, then none
 //   *=0.01                   every site fails 1% of attempts
 //

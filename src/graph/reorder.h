@@ -8,11 +8,9 @@
 //
 // The transform is purely a relabeling: the permuted index is isomorphic to
 // the original, so recall and result sets are bit-identical once ids are
-// mapped back (SongSearcher::SetResultIdMap). Strategies:
-//  - kBfs: breadth-first relabeling from the search entry point — each
-//    vertex lands near the frontier it is expanded with.
-//  - kDegreeDescending: hubs first — the high-degree vertices that dominate
-//    traversals share the first (cache-resident) pages.
+// mapped back (SongSearcher::SetResultIdMap). The relabeling is
+// breadth-first from the search entry point, so each vertex lands near the
+// frontier it is expanded with.
 
 #ifndef SONG_GRAPH_REORDER_H_
 #define SONG_GRAPH_REORDER_H_
@@ -22,7 +20,6 @@
 #include "core/dataset.h"
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
-#include "song/search_options.h"
 
 namespace song {
 
@@ -35,12 +32,9 @@ struct GraphPermutation {
   size_t size() const { return old_to_new.size(); }
 };
 
-/// Computes the relabeling for `strategy` (kNone returns the identity).
-/// BFS starts from `entry`; vertices unreachable from it are appended in
-/// old-id order. Degree-descending breaks ties by old id, so both
-/// strategies are deterministic.
-GraphPermutation ComputeReorder(const FixedDegreeGraph& graph,
-                                GraphReorder strategy, idx_t entry = 0);
+/// Computes the BFS relabeling from `entry`; vertices unreachable from it
+/// are appended in old-id order, so the result is deterministic.
+GraphPermutation ComputeReorder(const FixedDegreeGraph& graph, idx_t entry = 0);
 
 /// Relabels both endpoints: row perm.old_to_new[v] of the result holds
 /// {perm.old_to_new[u] : u in graph.Row(v)}, neighbor order preserved.
@@ -60,10 +54,10 @@ struct ReorderedIndex {
   idx_t entry = 0;
 };
 
-/// One-call transform: permutes data + graph with `strategy` and maps the
-/// entry point. `data.num()` must equal `graph.num_vertices()`.
+/// One-call transform: permutes data + graph by BFS from `entry` and maps
+/// the entry point. `data.num()` must equal `graph.num_vertices()`.
 ReorderedIndex ReorderIndex(const Dataset& data, const FixedDegreeGraph& graph,
-                            GraphReorder strategy, idx_t entry = 0);
+                            idx_t entry = 0);
 
 }  // namespace song
 

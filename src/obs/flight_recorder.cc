@@ -97,14 +97,12 @@ std::string FlightRecorder::ToJson() const {
         ", \"queue_us\": %.6g, \"batch_form_us\": %.6g, "
         "\"search_us\": %.6g, \"total_us\": %.6g, "
         "\"status\": \"%s\", \"status_code\": %d, "
-        "\"degraded\": %s, \"rejected\": %s, "
-        "\"shards_answered\": %u, \"shards_total\": %u}",
+        "\"degraded\": %s, \"rejected\": %s}",
         r.request_id, r.options_digest, r.snapshot_version,
         static_cast<double>(r.queue_us), static_cast<double>(r.batch_form_us),
         static_cast<double>(r.search_us), static_cast<double>(r.total_us),
         Status::CodeSlug(r.code()), r.status_code,
-        r.degraded ? "true" : "false", r.rejected ? "true" : "false",
-        r.shards_answered, r.shards_total);
+        r.degraded ? "true" : "false", r.rejected ? "true" : "false");
     out += buf;
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";

@@ -89,11 +89,9 @@ struct RequestRecord {
   float search_us = 0.0f;
   float total_us = 0.0f;
   int32_t status_code = 0;       ///< StatusCode as int
-  uint16_t shards_answered = 0;  ///< sharded runs only; 0/0 = unsharded
-  uint16_t shards_total = 0;
   uint8_t degraded = 0;          ///< budget cut the search short
   uint8_t rejected = 0;          ///< validation refused the query
-  uint8_t reserved[6] = {};
+  uint8_t reserved[2] = {};
 
   StatusCode code() const { return static_cast<StatusCode>(status_code); }
 

@@ -421,13 +421,13 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
         if (!frontier.Claim(v, candidates, local)) continue;
         candidates.push_back(v);
         if constexpr (requires { distance.Prefetch(v); }) {
-          if (options.enable_prefetch) distance.Prefetch(v);
+          distance.Prefetch(v);
         }
       }
     }
     // Hint the next frontier row one hop ahead: Stage 2/3 run long enough
     // to cover the adjacency-row load of the next Stage 1 round.
-    if (options.enable_prefetch && frontier.HasNext()) {
+    if (frontier.HasNext()) {
       graph.PrefetchRow(frontier.PeekNext());
     }
     if (terminate || candidates.empty()) {
@@ -516,7 +516,7 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
 ///    the same values as `distance(id)`.
 ///  - `distance.Prefetch(v)` — Stage 1 hints each accepted candidate's
 ///    vector into cache while expansion continues, hiding the Stage 2
-///    gather latency (gated on options.enable_prefetch).
+///    gather latency.
 template <typename DistanceFn>
 std::vector<Neighbor> SongSearchCore(const FixedDegreeGraph& graph,
                                      idx_t entry, size_t num_points,

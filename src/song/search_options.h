@@ -17,29 +17,6 @@
 
 namespace song {
 
-/// Vertex relabeling strategy applied to the graph + dataset before search
-/// (see graph/reorder.h). Improves locality of the Stage 2 gather: BFS
-/// relabeling places each vertex near its neighbors in memory, degree-
-/// descending packs the hub vertices that dominate traversals into the
-/// first (cache-resident) pages.
-enum class GraphReorder {
-  kNone = 0,
-  kBfs = 1,
-  kDegreeDescending = 2,
-};
-
-inline const char* GraphReorderName(GraphReorder r) {
-  switch (r) {
-    case GraphReorder::kNone:
-      return "none";
-    case GraphReorder::kBfs:
-      return "bfs";
-    case GraphReorder::kDegreeDescending:
-      return "degree";
-  }
-  return "unknown";
-}
-
 /// In-graph distance compression for Stage 2 (the BANG/Faiss-GPU recipe:
 /// compressed codes resident on device during traversal, exact-vector rerank
 /// of the final pool). kNone keeps the traversal byte-identical to a build
@@ -94,18 +71,6 @@ struct SongSearchOptions {
 
   /// Bloom filter bit budget; 0 = the paper's ~300 u32 (9600 bits).
   size_t bloom_bits = 0;
-
-  /// Software prefetching on the search hot path: candidate vectors are
-  /// hinted into cache as Stage 1 accepts them (hiding the Stage 2 gather
-  /// latency) and the next frontier vertex's adjacency row is hinted one
-  /// hop ahead. Purely a latency knob — results are identical either way.
-  bool enable_prefetch = true;
-
-  /// Graph reordering strategy this searcher's index was (or should be)
-  /// built with; recorded here so sweeps can report it. The transform
-  /// itself is applied by ReorderIndex (graph/reorder.h) — recall is
-  /// bit-identical since only vertex labels change.
-  GraphReorder reorder = GraphReorder::kNone;
 
   /// Per-query wall-clock budget in microseconds; 0 = unlimited. When the
   /// budget expires mid-search the loop stops and the best-so-far top-k is
@@ -192,8 +157,6 @@ struct SongSearchOptions {
                               static_cast<uint64_t>(multi_step_probe),
                               static_cast<uint64_t>(hash_capacity),
                               static_cast<uint64_t>(bloom_bits),
-                              enable_prefetch ? 1u : 0u,
-                              static_cast<uint64_t>(reorder),
                               deadline_us,
                               cost_budget,
                               static_cast<uint64_t>(quant),

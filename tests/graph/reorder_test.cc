@@ -45,16 +45,9 @@ void ExpectValidPermutation(const GraphPermutation& perm, size_t n) {
   }
 }
 
-TEST(ReorderTest, NoneIsIdentity) {
-  const FixedDegreeGraph g = MakeRingGraph(10, 4);
-  const GraphPermutation perm = ComputeReorder(g, GraphReorder::kNone);
-  ExpectValidPermutation(perm, 10);
-  for (idx_t v = 0; v < 10; ++v) EXPECT_EQ(perm.old_to_new[v], v);
-}
-
 TEST(ReorderTest, BfsIsValidAndEntryFirst) {
   const FixedDegreeGraph g = MakeRingGraph(50, 6);
-  const GraphPermutation perm = ComputeReorder(g, GraphReorder::kBfs, 17);
+  const GraphPermutation perm = ComputeReorder(g, 17);
   ExpectValidPermutation(perm, 50);
   EXPECT_EQ(perm.old_to_new[17], 0u);  // entry is relabeled to 0
   // Ring from 17: direct neighbors must land within the first BFS level.
@@ -73,7 +66,7 @@ TEST(ReorderTest, BfsCoversDisconnectedComponents) {
     }
   }
   const FixedDegreeGraph g = FixedDegreeGraph::FromAdjacency(adj, 4);
-  const GraphPermutation perm = ComputeReorder(g, GraphReorder::kBfs, 0);
+  const GraphPermutation perm = ComputeReorder(g, 0);
   ExpectValidPermutation(perm, 10);
   // The unreachable second clique keeps old-id order after the first.
   for (idx_t v = 5; v < 9; ++v) {
@@ -81,28 +74,9 @@ TEST(ReorderTest, BfsCoversDisconnectedComponents) {
   }
 }
 
-TEST(ReorderTest, DegreeDescendingOrdersByDegree) {
-  std::vector<std::vector<idx_t>> adj(5);
-  adj[0] = {1};
-  adj[1] = {0, 2};
-  adj[2] = {0, 1, 3};
-  adj[3] = {0, 1, 2, 4};
-  adj[4] = {3};
-  const FixedDegreeGraph g = FixedDegreeGraph::FromAdjacency(adj, 4);
-  const GraphPermutation perm =
-      ComputeReorder(g, GraphReorder::kDegreeDescending);
-  ExpectValidPermutation(perm, 5);
-  EXPECT_EQ(perm.new_to_old[0], 3u);  // degree 4 first
-  EXPECT_EQ(perm.new_to_old[1], 2u);  // then degree 3
-  EXPECT_EQ(perm.new_to_old[2], 1u);  // degree 2
-  // Degree-1 tie between 0 and 4 keeps old-id order.
-  EXPECT_EQ(perm.new_to_old[3], 0u);
-  EXPECT_EQ(perm.new_to_old[4], 4u);
-}
-
 TEST(ReorderTest, PermuteGraphPreservesEdges) {
   const FixedDegreeGraph g = MakeRingGraph(30, 6);
-  const GraphPermutation perm = ComputeReorder(g, GraphReorder::kBfs, 3);
+  const GraphPermutation perm = ComputeReorder(g, 3);
   const FixedDegreeGraph pg = PermuteGraph(g, perm);
   ASSERT_EQ(pg.num_vertices(), g.num_vertices());
   ASSERT_EQ(pg.degree(), g.degree());
@@ -123,7 +97,7 @@ TEST(ReorderTest, PermuteDatasetMovesRows) {
     data.SetRow(v, row.data());
   }
   const FixedDegreeGraph g = MakeRingGraph(6, 2);
-  const GraphPermutation perm = ComputeReorder(g, GraphReorder::kBfs, 4);
+  const GraphPermutation perm = ComputeReorder(g, 4);
   const Dataset pdata = PermuteDataset(data, perm);
   for (idx_t old_v = 0; old_v < 6; ++old_v) {
     EXPECT_EQ(pdata.Row(perm.old_to_new[old_v])[0], static_cast<float>(old_v));
@@ -147,57 +121,27 @@ TEST(ReorderTest, ReorderedSearchReturnsIdenticalResults) {
     const FixedDegreeGraph graph = NswBuilder::Build(gen.points, metric, {});
     const SongSearcher base(&gen.points, &graph, metric);
 
-    for (const GraphReorder strategy :
-         {GraphReorder::kBfs, GraphReorder::kDegreeDescending}) {
-      const ReorderedIndex ri = ReorderIndex(gen.points, graph, strategy);
-      ExpectValidPermutation(ri.perm, gen.points.num());
-      SongSearcher reordered(&ri.data, &ri.graph, metric, ri.entry);
-      reordered.SetResultIdMap(ri.perm.new_to_old);
+    const ReorderedIndex ri = ReorderIndex(gen.points, graph);
+    ExpectValidPermutation(ri.perm, gen.points.num());
+    SongSearcher reordered(&ri.data, &ri.graph, metric, ri.entry);
+    reordered.SetResultIdMap(ri.perm.new_to_old);
 
-      for (const SongSearchOptions& options :
-           {SongSearchOptions::HashTable(),
-            SongSearchOptions::HashTableSelDel(),
-            SongSearchOptions::CpuEngineered()}) {
-        for (size_t q = 0; q < gen.queries.num(); ++q) {
-          const float* query = gen.queries.Row(static_cast<idx_t>(q));
-          const auto expect = base.Search(query, 10, options);
-          const auto got = reordered.Search(query, 10, options);
-          ASSERT_EQ(got.size(), expect.size())
-              << MetricName(metric) << " " << GraphReorderName(strategy)
-              << " " << options.Name() << " query " << q;
-          for (size_t i = 0; i < expect.size(); ++i) {
-            EXPECT_EQ(got[i].id, expect[i].id)
-                << MetricName(metric) << " " << GraphReorderName(strategy)
-                << " " << options.Name() << " query " << q << " rank " << i;
-            EXPECT_EQ(got[i].dist, expect[i].dist);
-          }
+    for (const SongSearchOptions& options :
+         {SongSearchOptions::HashTable(), SongSearchOptions::HashTableSelDel(),
+          SongSearchOptions::CpuEngineered()}) {
+      for (size_t q = 0; q < gen.queries.num(); ++q) {
+        const float* query = gen.queries.Row(static_cast<idx_t>(q));
+        const auto expect = base.Search(query, 10, options);
+        const auto got = reordered.Search(query, 10, options);
+        ASSERT_EQ(got.size(), expect.size())
+            << MetricName(metric) << " " << options.Name() << " query " << q;
+        for (size_t i = 0; i < expect.size(); ++i) {
+          EXPECT_EQ(got[i].id, expect[i].id)
+              << MetricName(metric) << " " << options.Name() << " query "
+              << q << " rank " << i;
+          EXPECT_EQ(got[i].dist, expect[i].dist);
         }
       }
-    }
-  }
-}
-
-TEST(ReorderTest, PrefetchDisabledSearchIsIdentical) {
-  SyntheticSpec spec;
-  spec.dim = 16;
-  spec.num_points = 300;
-  spec.num_queries = 10;
-  spec.seed = 99;
-  const SyntheticData gen = GenerateSynthetic(spec);
-  const FixedDegreeGraph graph =
-      NswBuilder::Build(gen.points, Metric::kL2, {});
-  const SongSearcher searcher(&gen.points, &graph, Metric::kL2);
-  SongSearchOptions with = SongSearchOptions::HashTable();
-  SongSearchOptions without = with;
-  without.enable_prefetch = false;
-  for (size_t q = 0; q < gen.queries.num(); ++q) {
-    const float* query = gen.queries.Row(static_cast<idx_t>(q));
-    const auto a = searcher.Search(query, 5, with);
-    const auto b = searcher.Search(query, 5, without);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].dist, b[i].dist);
     }
   }
 }

@@ -84,6 +84,9 @@ expect_fail 2 "non-negative integer" -- search --data "$DIR/data.sngd" \
       --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --k banana
 expect_fail 2 "requires --fault-spec" -- search --data "$DIR/data.sngd" \
       --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --fault-seed 7
+# BFS is the one relabeling; any other strategy name is a usage error.
+expect_fail 2 "unknown reorder strategy" -- search --data "$DIR/data.sngd" \
+      --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --reorder degree
 
 # Malformed fault spec: diagnostic + exit 2.
 expect_fail 2 "invalid --fault-spec" -- search --data "$DIR/data.sngd" \
@@ -107,6 +110,9 @@ OUT=$("$CLI" search --data "$DIR/data.sngd" --graph "$DIR/graph.sngg" \
       --metrics-json "$DIR/mutate_metrics.json")
 echo "$OUT"
 echo "$OUT" | grep -q "mutated index: 45 inserts, 15 deletes"
+# The search QPS line excludes the recall oracle, which reports its own time.
+echo "$OUT" | grep -q "^search wall: .* QPS)$"
+echo "$OUT" | grep -q "^oracle scan: "
 RECALL=$(echo "$OUT" | sed -n 's/recall@10 vs live set: //p')
 python3 - "$RECALL" <<'PY'
 import sys

@@ -242,8 +242,7 @@ def validate_flight_recorder_doc(doc, label="flight-recorder"):
         check(isinstance(r, dict), f"{label}: record {i} not an object")
         for key in ("request_id", "options_digest", "snapshot_version",
                     "queue_us", "batch_form_us", "search_us", "total_us",
-                    "status", "status_code", "degraded", "rejected",
-                    "shards_answered", "shards_total"):
+                    "status", "status_code", "degraded", "rejected"):
             check(key in r, f"{label}: record {i} missing {key!r}")
         check(isinstance(r["options_digest"], str) and
               r["options_digest"].startswith("0x"),
@@ -256,9 +255,6 @@ def validate_flight_recorder_doc(doc, label="flight-recorder"):
         check(isinstance(r["degraded"], bool) and
               isinstance(r["rejected"], bool),
               f"{label}: record {i} degraded/rejected not booleans")
-        check(r["shards_answered"] <= r["shards_total"] or
-              r["shards_total"] == 0,
-              f"{label}: record {i} answers more shards than exist: {r}")
         stage_sum = r["queue_us"] + r["batch_form_us"] + r["search_us"]
         check(close(stage_sum, r["total_us"], rel=REQ_SUM_REL_TOL) or
               close(stage_sum, 0.0),
