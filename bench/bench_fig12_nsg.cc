@@ -60,14 +60,14 @@ int main() {
   // NSG's own CPU search (single thread).
   Curve nsg_curve;
   nsg_curve.label = "NSG";
-  song::EpochVisitedSet visited;
+  song::BestFirstScratch scratch;
   for (const size_t ef : DefaultQueueSizes(kTop)) {
     std::vector<std::vector<song::idx_t>> ids(w.queries.num());
     song::Timer timer;
     for (size_t q = 0; q < w.queries.num(); ++q) {
       const auto found = GraphSearch(
           w.data, w.metric, nsg.graph, nsg.navigating_node,
-          w.queries.Row(static_cast<song::idx_t>(q)), ef, kTop, &visited);
+          w.queries.Row(static_cast<song::idx_t>(q)), ef, kTop, &scratch);
       for (const song::Neighbor& n : found) ids[q].push_back(n.id);
     }
     const double seconds = timer.ElapsedSeconds();

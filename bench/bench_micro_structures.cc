@@ -2,6 +2,9 @@
 // DESIGN.md calls out:
 //  * bounded symmetric min-max heap vs std::priority_queue rebuild — the
 //    §IV-C design choice — and the CPU preset's sorted CandidatePool;
+//  * the CandidatePool vs hnswlib's two heaps on a recorded best-first op
+//    stream (expansions interleaved with admissions, as a search issues
+//    them);
 //  * open-addressing hash set vs Bloom vs Cuckoo filter ops — the §IV-B/E
 //    alternatives;
 //  * probe cost as the open-addressing table fills.
@@ -16,19 +19,25 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <queue>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/candidate_pool.h"
+#include "core/distance.h"
+#include "core/epoch_visited_set.h"
 #include "core/simd.h"
+#include "data/synthetic.h"
+#include "graph/nsw_builder.h"
 #include "obs/exporters.h"
 #include "song/bloom_filter.h"
 #include "song/bounded_heap.h"
-#include "song/candidate_pool.h"
 #include "song/cuckoo_filter.h"
 #include "song/open_addressing_set.h"
 
@@ -90,6 +99,146 @@ BENCHMARK(BM_CandidatePoolBoundedStream)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024);
+
+// A recorded best-first op stream: for each query a reset, then the
+// frontier operations the CPU preset's search issued, in order — an
+// expansion of the best unexpanded entry, or the admission of one scored
+// candidate. Unlike the bounded stream above, whose candidates are mostly
+// rejected by a full pool, about half of these enter the frontier.
+struct SearchStream {
+  enum class Op : uint8_t { kReset, kExpand, kAdmit };
+  size_t ef = 0;
+  std::vector<Op> ops;
+  std::vector<Neighbor> admitted;  ///< kAdmit payloads, in op order
+  size_t queries = 0;
+  size_t admits = 0;  ///< candidates the recording pool accepted
+};
+
+// Records the stream of best-first searches (CandidatePool, epoch visited
+// set, one entry at vertex 0) on a nytimes-like preset: 4000 × 256-d
+// cosine, an NSW graph of degree 16, 32 queries.
+SearchStream RecordSearchStream(size_t ef) {
+  static const SyntheticData data =
+      GenerateSynthetic(PresetSpec("nytimes", 0.5));
+  static const FixedDegreeGraph graph = [] {
+    NswBuildOptions options;
+    options.num_threads = 1;
+    return NswBuilder::Build(data.points, Metric::kCosine, options);
+  }();
+  const BatchDistance batch(Metric::kCosine, &data.points);
+  SearchStream s;
+  s.ef = ef;
+  CandidatePool pool;
+  EpochVisitedSet visited;
+  const size_t num_queries = std::min<size_t>(32, data.queries.num());
+  for (idx_t q = 0; q < num_queries; ++q) {
+    const float* query = data.queries.Row(q);
+    const float qn = batch.QueryNormSqr(query);
+    size_t evicted = 0;
+    const auto admit = [&](idx_t v) {
+      const Neighbor n(batch.Compute(query, qn, v), v);
+      s.ops.push_back(SearchStream::Op::kAdmit);
+      s.admitted.push_back(n);
+      s.admits += pool.Insert(n, &evicted) ? 1 : 0;
+    };
+    s.ops.push_back(SearchStream::Op::kReset);
+    pool.Reset(ef);
+    visited.Reset(data.points.num());
+    visited.Insert(0);
+    admit(0);
+    while (pool.HasUnexpanded()) {
+      s.ops.push_back(SearchStream::Op::kExpand);
+      const idx_t u = pool.ExpandNext().id;
+      for (const idx_t v : graph.Neighbors(u)) {
+        if (visited.Insert(v)) admit(v);
+      }
+    }
+    ++s.queries;
+  }
+  return s;
+}
+
+const SearchStream& RecordedStream(size_t ef) {
+  static const SearchStream s64 = RecordSearchStream(64);
+  static const SearchStream s192 = RecordSearchStream(192);
+  return ef == 64 ? s64 : s192;
+}
+
+void CandidatePoolSearchPass(CandidatePool& pool, const SearchStream& s) {
+  size_t evicted = 0;
+  size_t next = 0;
+  for (const SearchStream::Op op : s.ops) {
+    switch (op) {
+      case SearchStream::Op::kReset:
+        pool.Reset(s.ef);
+        break;
+      case SearchStream::Op::kExpand:
+        benchmark::DoNotOptimize(pool.ExpandNext());
+        break;
+      case SearchStream::Op::kAdmit:
+        pool.Insert(s.admitted[next++], &evicted);
+        break;
+    }
+  }
+  benchmark::DoNotOptimize(pool.size() + evicted);
+}
+
+// hnswlib's searchBaseLayer frontier on the same stream: an unbounded
+// candidate min-heap plus an ef-bounded result max-heap, O(log ef) per
+// admission. Heaps are vectors so storage is reused across passes.
+void TwoHeapSearchPass(std::vector<Neighbor>& candidates,
+                       std::vector<Neighbor>& top, const SearchStream& s) {
+  size_t next = 0;
+  for (const SearchStream::Op op : s.ops) {
+    switch (op) {
+      case SearchStream::Op::kReset:
+        candidates.clear();
+        top.clear();
+        break;
+      case SearchStream::Op::kExpand:
+        if (!candidates.empty()) {
+          std::pop_heap(candidates.begin(), candidates.end(),
+                        std::greater<>());
+          benchmark::DoNotOptimize(candidates.back());
+          candidates.pop_back();
+        }
+        break;
+      case SearchStream::Op::kAdmit: {
+        const Neighbor& n = s.admitted[next++];
+        if (top.size() < s.ef || n.dist < top.front().dist) {
+          candidates.push_back(n);
+          std::push_heap(candidates.begin(), candidates.end(),
+                         std::greater<>());
+          top.push_back(n);
+          std::push_heap(top.begin(), top.end());
+          if (top.size() > s.ef) {
+            std::pop_heap(top.begin(), top.end());
+            top.pop_back();
+          }
+        }
+        break;
+      }
+    }
+  }
+  benchmark::DoNotOptimize(candidates.size() + top.size());
+}
+
+void BM_CandidatePoolSearchStream(benchmark::State& state) {
+  const SearchStream& s = RecordedStream(static_cast<size_t>(state.range(0)));
+  CandidatePool pool(s.ef);
+  for (auto _ : state) CandidatePoolSearchPass(pool, s);
+  state.SetItemsProcessed(state.iterations() * s.admitted.size());
+}
+BENCHMARK(BM_CandidatePoolSearchStream)->Arg(64)->Arg(192);
+
+void BM_TwoHeapSearchStream(benchmark::State& state) {
+  const SearchStream& s = RecordedStream(static_cast<size_t>(state.range(0)));
+  std::vector<Neighbor> candidates;
+  std::vector<Neighbor> top;
+  for (auto _ : state) TwoHeapSearchPass(candidates, top, s);
+  state.SetItemsProcessed(state.iterations() * s.admitted.size());
+}
+BENCHMARK(BM_TwoHeapSearchStream)->Arg(64)->Arg(192);
 
 // Naive alternative: unbounded binary heap + lazy truncation (what a direct
 // CPU->GPU port would do; unbounded growth is the §IV-C motivation).
@@ -266,6 +415,22 @@ void RunStructureSweep() {
     emit("candidate_pool_bounded_stream", capacity,
          TimeCell(reps, stream.size(),
                   [&] { CandidatePoolStreamPass(pool, stream); }));
+  }
+
+  // Per scored candidate, expansions included.
+  for (const size_t ef : {size_t{64}, size_t{192}}) {
+    const SearchStream& s = RecordedStream(ef);
+    std::printf("  (search stream ef %zu: %zu queries, %.0f candidates per "
+                "query, admit ratio %.2f)\n",
+                ef, s.queries,
+                static_cast<double>(s.admitted.size()) /
+                    static_cast<double>(s.queries),
+                static_cast<double>(s.admits) /
+                    static_cast<double>(s.admitted.size()));
+    CandidatePool pool(ef);
+    emit("candidate_pool_search_stream", ef,
+         TimeCell(reps, s.admitted.size(),
+                  [&] { CandidatePoolSearchPass(pool, s); }));
   }
 
   for (const size_t n : {size_t{128}, size_t{1024}, size_t{8192}}) {

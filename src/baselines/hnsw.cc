@@ -57,26 +57,11 @@ Neighbor GreedyDescent(Neighbor ep, size_t top_level, size_t bottom_level,
   return ep;
 }
 
-// Layer-0 query distance: the fused gather kernel scores each row batch.
-struct BatchQueryDistance {
-  const BatchDistance& batch;
-  const float* query;
-  float query_norm_sqr;
-
-  float operator()(idx_t v) const {
-    return batch.Compute(query, query_norm_sqr, v);
-  }
-  void ComputeBatch(const idx_t* ids, size_t n, float* out) const {
-    batch.ComputeBatch(query, query_norm_sqr, ids, n, out);
-  }
-};
-
 }  // namespace
 
 Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
     : data_(data),
       metric_(metric),
-      dist_(GetDistanceFunc(metric)),
       batch_dist_(metric, data),
       m_(options.m),
       level_mult_(1.0 / std::log(static_cast<double>(options.m))) {
@@ -105,13 +90,12 @@ Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
   std::vector<std::atomic<bool>> inserted(n);
   inserted[0].store(true, std::memory_order_release);
 
-  const size_t dim = data_->dim();
   const auto is_inserted = [&](idx_t u) {
     return inserted[u].load(std::memory_order_acquire);
   };
 
   ParallelFor(n - 1, options.num_threads, [&](size_t job, size_t) {
-    thread_local EpochVisitedSet visited;
+    thread_local BestFirstScratch scratch;
     thread_local std::vector<idx_t> row_buf;
     const idx_t v = static_cast<idx_t>(job + 1);
     const float* point = data_->Row(v);
@@ -125,9 +109,8 @@ Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
       }
       return std::span<const idx_t>(row_buf);
     };
-    const auto distance = [&](idx_t u) {
-      return dist_(point, data_->Row(u), dim);
-    };
+    const BatchQueryDistance distance{batch_dist_, point,
+                                      batch_dist_.QueryNormSqr(point)};
 
     idx_t ep;
     size_t top_level;
@@ -144,9 +127,9 @@ Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
       std::vector<Neighbor> pool = BestFirstSearch(
           [&](idx_t u) { return row_of(u, l); }, distance,
           std::span<const Neighbor>(eps), options.ef_construction, n,
-          &visited, /*stats=*/nullptr, is_inserted);
+          &scratch, /*stats=*/nullptr, is_inserted);
       std::vector<idx_t> selected =
-          NswBuilder::SelectDiverse(*data_, metric_, v, pool, m_);
+          NswBuilder::SelectDiverse(batch_dist_, v, pool, m_);
       {
         MutexLock guard(locks[v]);
         WriteRow(MutableRow(v, l), RowCapacity(l), selected);
@@ -164,17 +147,8 @@ Hnsw::Hnsw(const Dataset* data, Metric metric, const HnswBuildOptions& options)
           row[count] = v;
           continue;
         }
-        std::vector<Neighbor> shrink_pool;
-        shrink_pool.reserve(count + 1);
-        for (size_t i = 0; i < count; ++i) {
-          shrink_pool.emplace_back(
-              dist_(data_->Row(u), data_->Row(row[i]), dim), row[i]);
-        }
-        shrink_pool.emplace_back(dist_(data_->Row(u), data_->Row(v), dim), v);
-        std::sort(shrink_pool.begin(), shrink_pool.end());
         WriteRow(row, cap,
-                 NswBuilder::SelectDiverse(*data_, metric_, u, shrink_pool,
-                                           cap));
+                 NswBuilder::ReselectRow(batch_dist_, u, {row, count}, v, cap));
       }
       if (!pool.empty()) eps = std::move(pool);
     }
@@ -210,12 +184,13 @@ idx_t* Hnsw::MutableRow(idx_t v, size_t level) {
 
 std::vector<Neighbor> Hnsw::Search(const float* query, size_t k, size_t ef,
                                    HnswSearchStats* stats) const {
-  thread_local EpochVisitedSet visited;
-  const size_t dim = data_->dim();
+  thread_local BestFirstScratch scratch;
+  const BatchQueryDistance batch{batch_dist_, query,
+                                 batch_dist_.QueryNormSqr(query)};
   GraphSearchStats layer_stats;
   const auto distance = [&](idx_t v) {
     ++layer_stats.distance_computations;
-    return dist_(query, data_->Row(v), dim);
+    return batch(v);
   };
   const auto row_of = [this](idx_t v, size_t level) {
     return std::span<const idx_t>(Row(v, level), RowCapacity(level));
@@ -223,11 +198,9 @@ std::vector<Neighbor> Hnsw::Search(const float* query, size_t k, size_t ef,
   const Neighbor ep =
       GreedyDescent(Neighbor(distance(entry_), entry_), max_level_, 0, row_of,
                     distance, TraverseAll{});
-  const BatchQueryDistance batch{batch_dist_, query,
-                                 batch_dist_.QueryNormSqr(query)};
   std::vector<Neighbor> result = BestFirstSearch(
       [&](idx_t v) { return row_of(v, 0); }, batch, {&ep, 1}, std::max(ef, k),
-      data_->num(), &visited, &layer_stats);
+      data_->num(), &scratch, &layer_stats);
   if (result.size() > k) result.resize(k);
   if (stats != nullptr) {
     stats->distance_computations += layer_stats.distance_computations;

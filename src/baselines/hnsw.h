@@ -78,7 +78,6 @@ class Hnsw {
   Hnsw(LoadTag, const Dataset* data, Metric metric, size_t m)
       : data_(data),
         metric_(metric),
-        dist_(GetDistanceFunc(metric)),
         batch_dist_(metric, data),
         m_(m),
         level_mult_(1.0) {}
@@ -91,8 +90,7 @@ class Hnsw {
 
   const Dataset* data_;
   Metric metric_;
-  DistanceFunc dist_;            ///< pairwise kernel (build path)
-  BatchDistance batch_dist_;     ///< fused gather kernel (query path)
+  BatchDistance batch_dist_;     ///< every build and query distance
   size_t m_;
   double level_mult_;
 

@@ -104,6 +104,21 @@ void ScalarAdcGather(const float* table, const uint8_t* codes, size_t m,
   }
 }
 
+size_t ScalarRank(const float* dists, const idx_t* ids, size_t n, float dist,
+                  idx_t id) {
+  size_t lo = 0;
+  size_t hi = n;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (dists[mid] < dist || (dists[mid] == dist && ids[mid] < id)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
 
 const DistanceKernelTable& ScalarKernelTable() {
@@ -119,6 +134,7 @@ const DistanceKernelTable& ScalarKernelTable() {
     t.l2_range = &ScalarRange<&ScalarL2Sqr>;
     t.dot_range = &ScalarRange<&ScalarDot>;
     t.adc_gather = &ScalarAdcGather;
+    t.rank = &ScalarRank;
     return t;
   }();
   return table;
@@ -136,15 +152,12 @@ const DistanceKernelTable& KernelTableForTier(SimdTier tier) {
   return ScalarKernelTable();
 }
 
-namespace {
-
 const DistanceKernelTable& ActiveKernelTable() {
   static const DistanceKernelTable& table =
       KernelTableForTier(ActiveSimdTier());
   return table;
 }
 
-}  // namespace
 }  // namespace internal
 
 float L2Sqr(const float* a, const float* b, size_t dim) {
@@ -228,6 +241,12 @@ void BatchDistance::ComputeBatch(const float* query, float query_norm_sqr,
       }
       return;
   }
+}
+
+void BatchDistance::ComputeFromRow(idx_t from, const idx_t* ids, size_t n,
+                                   float* out) const {
+  const float norm_sqr = metric_ == Metric::kCosine ? norms_sqr_[from] : 0.0f;
+  ComputeBatch(data_->Row(from), norm_sqr, ids, n, out);
 }
 
 void BatchDistance::ComputeRange(const float* query, float query_norm_sqr,

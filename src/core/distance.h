@@ -92,6 +92,14 @@ class BatchDistance {
   void ComputeBatch(const float* query, float query_norm_sqr, const idx_t* ids,
                     size_t n, float* out) const;
 
+  /// out[i] = score(row `from`, row ids[i]) for i in [0, n): ComputeBatch
+  /// with a stored row as the query and its cached norm as the query norm,
+  /// so a cosine score costs one reduction instead of three. Bit-equal to
+  /// the pairwise kernel on the two rows, in either order (L2, inner
+  /// product and cosine are bit-symmetric).
+  void ComputeFromRow(idx_t from, const idx_t* ids, size_t n,
+                      float* out) const;
+
   /// out[i] = score(query, row first + i) for i in [0, n) — the contiguous
   /// variant brute-force scans use.
   void ComputeRange(const float* query, float query_norm_sqr, idx_t first,

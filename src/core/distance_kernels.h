@@ -1,10 +1,11 @@
 // Copyright 2026 The SONG-Repro Authors.
 //
-// Internal per-tier distance kernel tables. Each tier lives in its own
-// translation unit compiled with the matching -m flags; this header is the
-// contract between those TUs and the dispatcher in distance.cc. Tests and
-// the micro bench include it directly to pin a specific tier regardless of
-// what ActiveSimdTier() resolved to.
+// Internal per-tier kernel tables: the distance kernels, plus the rank
+// kernel of the sorted candidate pool (core/candidate_pool.h). Each tier
+// lives in its own translation unit compiled with the matching -m flags;
+// this header is the contract between those TUs and the dispatcher in
+// distance.cc. Tests and the micro bench include it directly to pin a
+// specific tier regardless of what ActiveSimdTier() resolved to.
 //
 // Kernel contracts (all tiers):
 //  - Only a[0..dim) / b[0..dim) are read — remainder lanes are handled with
@@ -15,6 +16,8 @@
 //    bit-identical to single-pair results of the same tier.
 //  - Across tiers, results agree with the double-precision oracle within a
 //    dim-scaled few-ulp tolerance (summation order differs by design).
+//  - The rank kernel is an exact count, so every tier returns the same
+//    value.
 
 #ifndef SONG_CORE_DISTANCE_KERNELS_H_
 #define SONG_CORE_DISTANCE_KERNELS_H_
@@ -53,6 +56,16 @@ using AdcGatherKernel = void (*)(const float* table, const uint8_t* codes,
                                  size_t m, const idx_t* ids, size_t n,
                                  float* out);
 
+/// Admission slot of (dist, id) in a candidate list held as parallel arrays
+/// sorted ascending by (dist, id) with distinct ids:
+///   count(dists[i] < dist) + count(dists[i] == dist && ids[i] < id)
+/// over i in [0, n), which is std::lower_bound on (dist, id). Only
+/// dists[0..n) / ids[0..n) are read. The SIMD tiers count 8 or 16 entries
+/// per compare and stop at the first block that holds a later entry; the
+/// scalar tier is a binary search.
+using RankKernel = size_t (*)(const float* dists, const idx_t* ids, size_t n,
+                              float dist, idx_t id);
+
 struct DistanceKernelTable {
   /// False when this TU was built without its -m flags (non-x86 target or
   /// toolchain without the extension): every pointer below then aliases the
@@ -69,6 +82,7 @@ struct DistanceKernelTable {
   RangeKernel l2_range = nullptr;
   RangeKernel dot_range = nullptr;
   AdcGatherKernel adc_gather = nullptr;
+  RankKernel rank = nullptr;
 };
 
 const DistanceKernelTable& ScalarKernelTable();
@@ -77,6 +91,9 @@ const DistanceKernelTable& Avx512KernelTable();
 
 /// The table for `tier` (scalar-aliased when the tier was not compiled in).
 const DistanceKernelTable& KernelTableForTier(SimdTier tier);
+
+/// The table for ActiveSimdTier(), resolved once.
+const DistanceKernelTable& ActiveKernelTable();
 
 }  // namespace song::internal
 

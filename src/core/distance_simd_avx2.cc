@@ -210,6 +210,37 @@ void AdcGatherAvx2(const float* table, const uint8_t* codes, size_t m,
   }
 }
 
+/// Candidate-pool rank, 8 entries per step: lanes before (dist, id) are
+/// dist-less, or dist-equal with a smaller id (unsigned, compared as signed
+/// after flipping the sign bit). The list is sorted, so the first block
+/// with a lane that is not before (dist, id) ends the count; a partial last
+/// block is counted in scalar.
+size_t RankAvx2(const float* dists, const idx_t* ids, size_t n, float dist,
+                idx_t id) {
+  const __m256 xd = _mm256_set1_ps(dist);
+  const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+  const __m256i xi =
+      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(id)), sign);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 d = _mm256_loadu_ps(dists + i);
+    const __m256i v = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i)), sign);
+    const __m256 lt = _mm256_cmp_ps(d, xd, _CMP_LT_OQ);
+    const __m256 eq = _mm256_cmp_ps(d, xd, _CMP_EQ_OQ);
+    const __m256 id_lt = _mm256_castsi256_ps(_mm256_cmpgt_epi32(xi, v));
+    const int before =
+        _mm256_movemask_ps(_mm256_or_ps(lt, _mm256_and_ps(eq, id_lt)));
+    if (before != 0xFF) {
+      return i + static_cast<size_t>(__builtin_popcount(before));
+    }
+  }
+  for (; i < n; ++i) {
+    if (!(dists[i] < dist || (dists[i] == dist && ids[i] < id))) break;
+  }
+  return i;
+}
+
 }  // namespace
 
 const DistanceKernelTable& Avx2KernelTable() {
@@ -225,6 +256,7 @@ const DistanceKernelTable& Avx2KernelTable() {
     t.l2_range = &L2RangeAvx2;
     t.dot_range = &DotRangeAvx2;
     t.adc_gather = &AdcGatherAvx2;
+    t.rank = &RankAvx2;
     return t;
   }();
   return table;

@@ -5,8 +5,9 @@
 // Accumulation layout (the batch == single bit-identity contract of
 // distance_kernels.h): two 16-lane accumulators over 32-float blocks, one
 // trailing 16-float block into the first accumulator, then a scalar float
-// tail — identical per row in the pair, gather and range kernels. Tails are
-// scalar rather than masked so no kernel ever touches bytes past `dim`.
+// tail — identical per row in the pair, gather and range kernels. Distance
+// tails are scalar rather than masked so no kernel ever touches bytes past
+// `dim`; the rank kernel's masked loads suppress the lanes past `n`.
 
 #include "core/distance_kernels.h"
 
@@ -218,6 +219,30 @@ void AdcGatherAvx512(const float* table, const uint8_t* codes, size_t m,
   }
 }
 
+/// Candidate-pool rank, 16 entries per step: lanes before (dist, id) are
+/// dist-less, or dist-equal with a smaller id. The list is sorted, so the
+/// first block with a lane that is not before (dist, id) ends the count;
+/// the partial last block is read through a load mask.
+size_t RankAvx512(const float* dists, const idx_t* ids, size_t n, float dist,
+                  idx_t id) {
+  const __m512 xd = _mm512_set1_ps(dist);
+  const __m512i xi = _mm512_set1_epi32(static_cast<int>(id));
+  size_t count = 0;
+  for (size_t i = 0; i < n; i += 16) {
+    const __mmask16 live =
+        n - i >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << (n - i)) - 1);
+    const __m512 d = _mm512_maskz_loadu_ps(live, dists + i);
+    const __m512i v = _mm512_maskz_loadu_epi32(live, ids + i);
+    const __mmask16 lt = _mm512_mask_cmp_ps_mask(live, d, xd, _CMP_LT_OQ);
+    const __mmask16 eq = _mm512_mask_cmp_ps_mask(live, d, xd, _CMP_EQ_OQ);
+    const __mmask16 before = lt | _mm512_mask_cmplt_epu32_mask(eq, v, xi);
+    count += static_cast<size_t>(__builtin_popcount(before));
+    if (before != 0xFFFF) break;
+  }
+  return count;
+}
+
 }  // namespace
 
 const DistanceKernelTable& Avx512KernelTable() {
@@ -233,6 +258,7 @@ const DistanceKernelTable& Avx512KernelTable() {
     t.l2_range = &L2RangeAvx512;
     t.dot_range = &DotRangeAvx512;
     t.adc_gather = &AdcGatherAvx512;
+    t.rank = &RankAvx512;
     return t;
   }();
   return table;

@@ -5,9 +5,9 @@ namespace song {
 std::vector<Neighbor> GraphSearch(const Dataset& data, Metric metric,
                                   const FixedDegreeGraph& graph, idx_t entry,
                                   const float* query, size_t ef, size_t k,
-                                  EpochVisitedSet* visited,
+                                  BestFirstScratch* scratch,
                                   GraphSearchStats* stats) {
-  SONG_DCHECK(visited != nullptr);
+  SONG_DCHECK(scratch != nullptr);
   const DistanceFunc dist = GetDistanceFunc(metric);
   const size_t dim = data.dim();
   const auto distance = [&](idx_t v) { return dist(query, data.Row(v), dim); };
@@ -19,7 +19,7 @@ std::vector<Neighbor> GraphSearch(const Dataset& data, Metric metric,
   if (stats != nullptr) ++stats->distance_computations;
   std::vector<Neighbor> out =
       BestFirstSearch(row_of, distance, {&start, 1}, std::max(ef, k),
-                      data.num(), visited, stats);
+                      data.num(), scratch, stats);
   if (out.size() > k) out.resize(k);
   return out;
 }

@@ -11,11 +11,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <queue>
 #include <span>
 #include <vector>
 
+#include "core/candidate_pool.h"
 #include "core/dataset.h"
 #include "core/distance.h"
 #include "core/epoch_visited_set.h"
@@ -41,16 +40,48 @@ struct IgnoreScored {
   constexpr void operator()(const Neighbor&) const {}
 };
 
-/// Best-first search with a frontier of width `ef` from the already-scored
-/// `entries`; returns the (at most) `ef` closest admitted vertices,
-/// ascending by distance.
+/// Storage BestFirstSearch reuses across calls: the visited set, the
+/// frontier and the gathered-row buffers. Warm scratch makes a search
+/// allocation-free apart from its result vector.
+struct BestFirstScratch {
+  EpochVisitedSet visited;
+  BestFirstCandidatePool pool;
+  std::vector<idx_t> ids;
+  std::vector<float> dists;
+};
+
+/// BestFirstSearch's `distance` hook over a BatchDistance: per-id scores
+/// and one fused ComputeBatch call per gathered row, bit-equal to each
+/// other and to the pairwise kernel.
+struct BatchQueryDistance {
+  const BatchDistance& batch;
+  const float* query;
+  float query_norm_sqr;
+
+  float operator()(idx_t v) const {
+    return batch.Compute(query, query_norm_sqr, v);
+  }
+  void ComputeBatch(const idx_t* ids, size_t n, float* out) const {
+    batch.ComputeBatch(query, query_norm_sqr, ids, n, out);
+  }
+};
+
+/// Best-first search with a frontier of width `ef` (clamped up to 1) from
+/// the already-scored `entries`; returns the (at most) `ef` closest
+/// admitted vertices, ascending by (distance, id).
 ///
-/// A min-heap frontier and a max-heap of the best `ef`; entries are admitted
-/// through the visited set's test-and-set; the loop stops when the frontier
-/// minimum is strictly worse than the worst of a full top list. Each pop
-/// gathers the row's unvisited, traversable neighbours in row order, scores
-/// them, then accepts them — the same search as the one-at-a-time textbook
-/// loop, since a distance never depends on heap state.
+/// The textbook loop keeps two heaps: an unbounded candidate min-heap and a
+/// max-heap of the best `ef`. A scored vertex enters both while fewer than
+/// `ef` are held or when it is strictly closer than the worst of them; the
+/// loop pops the closest candidate and stops once it is strictly worse
+/// than the worst of a full top list. Here one sorted
+/// BestFirstCandidatePool (core/candidate_pool.h, FrontierRule::kTextbook)
+/// plays both heaps and expands exactly the same vertices in the same
+/// order (docs/algorithms.md). Entries are admitted through the visited
+/// set's test-and-set. Each expansion gathers the row's unvisited,
+/// traversable neighbours in row order, scores them, then admits them —
+/// the same search as the one-at-a-time textbook loop, since a distance
+/// never depends on the frontier.
 ///
 /// Hooks, all resolved at compile time:
 ///  - `row_of(v)` returns v's neighbour ids as a std::span<const idx_t>;
@@ -63,44 +94,41 @@ struct IgnoreScored {
 ///  - `on_scored(n)` sees every admitted entry and every scored vertex, in
 ///    order, whether or not it entered the top list.
 ///
-/// `visited` is reset here over ids [0, num_points); passing it in lets
-/// callers reuse its storage across searches.
+/// `stats->hops` counts expansions; `stats->iterations` counts the
+/// two-heap loop's pops: the hops, plus the one terminating pop when a
+/// candidate was left unexpanded.
 template <typename RowFn, typename DistanceFn,
           typename MayTraverseFn = TraverseAll,
           typename OnScoredFn = IgnoreScored>
 std::vector<Neighbor> BestFirstSearch(RowFn&& row_of, DistanceFn&& distance,
                                       std::span<const Neighbor> entries,
                                       size_t ef, size_t num_points,
-                                      EpochVisitedSet* visited,
+                                      BestFirstScratch* scratch,
                                       GraphSearchStats* stats = nullptr,
                                       MayTraverseFn&& may_traverse = {},
                                       OnScoredFn&& on_scored = {}) {
-  ef = std::max<size_t>(ef, 1);
-  visited->Reset(num_points);
-
-  std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>> frontier;
-  std::priority_queue<Neighbor> top;
+  EpochVisitedSet& visited = scratch->visited;
+  BestFirstCandidatePool& pool = scratch->pool;
+  std::vector<idx_t>& ids = scratch->ids;
+  std::vector<float>& dists = scratch->dists;
+  visited.Reset(num_points);
+  pool.Reset(ef);
   for (const Neighbor& ep : entries) {
-    if (!visited->Insert(ep.id)) continue;
+    if (!visited.Insert(ep.id)) continue;
     on_scored(ep);
-    frontier.push(ep);
-    top.push(ep);
-    if (top.size() > ef) top.pop();
+    pool.Seed(ep);
   }
 
-  std::vector<idx_t> ids;
-  std::vector<float> dists;
-  while (!frontier.empty()) {
-    const Neighbor now = frontier.top();
-    frontier.pop();
-    if (stats != nullptr) ++stats->iterations;
-    if (top.size() >= ef && now.dist > top.top().dist) break;
-    if (stats != nullptr) ++stats->hops;
+  size_t hops = 0;
+  size_t scored = 0;
+  while (pool.HasUnexpanded()) {
+    const Neighbor now = pool.ExpandNext();
+    ++hops;
 
     ids.clear();
     for (const idx_t v : row_of(now.id)) {
       if (v == kInvalidIdx) break;
-      if (!may_traverse(v) || !visited->Insert(v)) continue;
+      if (!may_traverse(v) || !visited.Insert(v)) continue;
       ids.push_back(v);
     }
     if (ids.empty()) continue;
@@ -114,24 +142,28 @@ std::vector<Neighbor> BestFirstSearch(RowFn&& row_of, DistanceFn&& distance,
     } else {
       for (size_t i = 0; i < ids.size(); ++i) dists[i] = distance(ids[i]);
     }
-    if (stats != nullptr) stats->distance_computations += ids.size();
+    scored += ids.size();
 
+    // Every scored vertex funnels through this loop; kept free of heap
+    // allocation and logging (song_lint.py rule `hot-path`).
+    // song-lint: begin-hot-path(best-first-admit)
+    size_t evicted = 0;
     for (size_t i = 0; i < ids.size(); ++i) {
       const Neighbor cand(dists[i], ids[i]);
       on_scored(cand);
-      if (top.size() < ef || cand.dist < top.top().dist) {
-        frontier.push(cand);
-        top.push(cand);
-        if (top.size() > ef) top.pop();
-      }
+      pool.Insert(cand, &evicted);
     }
+    // song-lint: end-hot-path
   }
 
-  std::vector<Neighbor> out(top.size());
-  for (size_t i = top.size(); i-- > 0;) {
-    out[i] = top.top();
-    top.pop();
+  if (stats != nullptr) {
+    stats->distance_computations += scored;
+    stats->hops += hops;
+    stats->iterations += hops + (pool.dropped_unexpanded() ? 1 : 0);
   }
+  std::vector<Neighbor> out;
+  out.reserve(std::min(pool.capacity(), pool.size()));
+  pool.CopyBest(pool.capacity(), &out);
   return out;
 }
 
@@ -139,12 +171,12 @@ std::vector<Neighbor> BestFirstSearch(RowFn&& row_of, DistanceFn&& distance,
 /// frontier of width `ef` (the paper's "priority queue size", clamped up to
 /// k) and returning the `k` closest visited vertices, ascending by distance.
 ///
-/// `visited` must outlive the call and is reset internally; passing it in
-/// lets callers reuse the buffer across queries.
+/// `scratch` must outlive the call; passing it in lets callers reuse its
+/// storage across queries.
 std::vector<Neighbor> GraphSearch(const Dataset& data, Metric metric,
                                   const FixedDegreeGraph& graph, idx_t entry,
                                   const float* query, size_t ef, size_t k,
-                                  EpochVisitedSet* visited,
+                                  BestFirstScratch* scratch,
                                   GraphSearchStats* stats = nullptr);
 
 }  // namespace song

@@ -43,11 +43,11 @@ FixedDegreeGraph BuildApproxKnnGraph(const Dataset& data, Metric metric,
   const size_t n = data.num();
   FixedDegreeGraph g(n, k);
   ParallelFor(n, num_threads, [&](size_t v, size_t) {
-    thread_local EpochVisitedSet visited;
+    thread_local BestFirstScratch scratch;
     std::vector<Neighbor> nn =
         GraphSearch(data, metric, nsw, /*entry=*/0,
                     data.Row(static_cast<idx_t>(v)),
-                    std::max(ef, k + 1), k + 1, &visited);
+                    std::max(ef, k + 1), k + 1, &scratch);
     std::vector<idx_t> ids;
     ids.reserve(k);
     for (const Neighbor& nb : nn) {

@@ -19,7 +19,7 @@ namespace {
 std::vector<Neighbor> CollectPool(const Dataset& data, Metric metric,
                                   const FixedDegreeGraph& knn, idx_t entry,
                                   const float* query, size_t l,
-                                  EpochVisitedSet* visited) {
+                                  BestFirstScratch* scratch) {
   const DistanceFunc dist = GetDistanceFunc(metric);
   const size_t dim = data.dim();
   const auto distance = [&](idx_t v) { return dist(query, data.Row(v), dim); };
@@ -28,7 +28,7 @@ std::vector<Neighbor> CollectPool(const Dataset& data, Metric metric,
   };
   std::vector<Neighbor> pool;
   const Neighbor start(distance(entry), entry);
-  BestFirstSearch(row_of, distance, {&start, 1}, l, data.num(), visited,
+  BestFirstSearch(row_of, distance, {&start, 1}, l, data.num(), scratch,
                   /*stats=*/nullptr, TraverseAll{},
                   [&pool](const Neighbor& n) { pool.push_back(n); });
   return pool;
@@ -84,20 +84,20 @@ NsgIndex NsgBuilder::Build(const Dataset& data, Metric metric,
     for (size_t d = 0; d < dim; ++d) mean[d] += row[d];
   }
   for (size_t d = 0; d < dim; ++d) mean[d] /= static_cast<float>(n);
-  EpochVisitedSet medoid_visited;
+  BestFirstScratch medoid_scratch;
   const std::vector<Neighbor> medoid_result =
       GraphSearch(data, metric, knn, /*entry=*/0, mean.data(),
-                  options.search_l, /*k=*/1, &medoid_visited);
+                  options.search_l, /*k=*/1, &medoid_scratch);
   const idx_t navigating = medoid_result.empty() ? 0 : medoid_result[0].id;
 
   // Pass 1: MRNG selection per vertex over (search pool ∪ kNN row).
   std::vector<std::vector<idx_t>> adjacency(n);
   ParallelFor(n, options.num_threads, [&](size_t v, size_t) {
-    thread_local EpochVisitedSet visited;
+    thread_local BestFirstScratch scratch;
     const idx_t p = static_cast<idx_t>(v);
     std::vector<Neighbor> pool = CollectPool(
         data, metric, knn, navigating, data.Row(p), options.search_l,
-        &visited);
+        &scratch);
     const idx_t* row = knn.Row(p);
     for (size_t i = 0; i < knn.degree() && row[i] != kInvalidIdx; ++i) {
       pool.emplace_back(dist(data.Row(p), data.Row(row[i]), dim), row[i]);
@@ -149,7 +149,7 @@ NsgIndex NsgBuilder::Build(const Dataset& data, Metric metric,
   for (int attempt = 0; attempt < 8; ++attempt) {
     const std::vector<bool> seen = ReachableFrom(graph, navigating);
     if (std::find(seen.begin(), seen.end(), false) == seen.end()) break;
-    EpochVisitedSet visited;
+    BestFirstScratch scratch;
     for (size_t v = 0; v < n; ++v) {
       if (seen[v]) continue;
       // Nearest reachable vertex to v via a search on the current graph
@@ -158,7 +158,7 @@ NsgIndex NsgBuilder::Build(const Dataset& data, Metric metric,
       const std::vector<Neighbor> near =
           GraphSearch(data, metric, graph, navigating,
                       data.Row(static_cast<idx_t>(v)), options.search_l,
-                      options.search_l, &visited);
+                      options.search_l, &scratch);
       bool linked = false;
       for (const Neighbor& cand : near) {
         if (graph.AddNeighbor(cand.id, static_cast<idx_t>(v))) {

@@ -47,11 +47,9 @@ class LockedGraph {
     counts_[v] = neighbors.size();
   }
 
-  // Adds edge v->u. If the row overflows, `select` (sorted candidate pool
-  // -> kept ids, at most degree) decides which neighbors survive.
-  template <typename DistToV, typename Select>
-  void AddEdgeWithShrink(idx_t v, idx_t u, const DistToV& dist_to_v,
-                         const Select& select) {
+  // Adds edge v->u. If the row overflows, ReselectRow picks v's row (at
+  // most degree ids) from its neighbors plus u.
+  void AddEdgeWithShrink(idx_t v, idx_t u, const BatchDistance& dist) {
     MutexLock guard(locks_[v]);
     idx_t* row = &rows_[static_cast<size_t>(v) * degree_];
     const size_t count = counts_[v];
@@ -64,14 +62,8 @@ class LockedGraph {
       return;
     }
     // Overflow: re-select the row from current neighbors plus u.
-    std::vector<Neighbor> pool;
-    pool.reserve(count + 1);
-    for (size_t i = 0; i < count; ++i) {
-      pool.emplace_back(dist_to_v(row[i]), row[i]);
-    }
-    pool.emplace_back(dist_to_v(u), u);
-    std::sort(pool.begin(), pool.end());
-    const std::vector<idx_t> kept = select(v, pool);
+    const std::vector<idx_t> kept =
+        NswBuilder::ReselectRow(dist, v, {row, count}, u, degree_);
     std::fill(row, row + degree_, kInvalidIdx);
     std::copy(kept.begin(), kept.end(), row);
     counts_[v] = kept.size();
@@ -102,25 +94,21 @@ class LockedGraph {
 // kept r is closer to c than c is to the center. Produces diverse, navigable
 // edges instead of a tight clique around the center.
 std::vector<idx_t> NswBuilder::SelectDiverse(
-    const Dataset& data, Metric metric, idx_t center,
+    const BatchDistance& dist, idx_t center,
     const std::vector<Neighbor>& sorted_pool, size_t m) {
-  const DistanceFunc dist = GetDistanceFunc(metric);
-  const size_t dim = data.dim();
   std::vector<idx_t> selected;
   selected.reserve(m);
   std::vector<Neighbor> discarded;
   for (const Neighbor& cand : sorted_pool) {
     if (selected.size() >= m) break;
     if (cand.id == center) continue;
-    bool occluded = false;
-    for (const idx_t r : selected) {
-      if (r == cand.id ||
-          dist(data.Row(r), data.Row(cand.id), dim) < cand.dist) {
-        occluded = true;
-        break;
-      }
-    }
-    if (occluded) {
+    const auto occludes = [&](idx_t r) {
+      if (r == cand.id) return true;
+      float d_rc = 0.0f;
+      dist.ComputeFromRow(r, &cand.id, 1, &d_rc);
+      return d_rc < cand.dist;
+    };
+    if (std::any_of(selected.begin(), selected.end(), occludes)) {
       discarded.push_back(cand);
     } else {
       selected.push_back(cand.id);
@@ -136,6 +124,21 @@ std::vector<idx_t> NswBuilder::SelectDiverse(
   return selected;
 }
 
+std::vector<idx_t> NswBuilder::ReselectRow(const BatchDistance& dist,
+                                           idx_t center,
+                                           std::span<const idx_t> row,
+                                           idx_t added, size_t m) {
+  std::vector<idx_t> ids(row.begin(), row.end());
+  ids.push_back(added);
+  std::vector<float> dists(ids.size());
+  dist.ComputeFromRow(center, ids.data(), ids.size(), dists.data());
+  std::vector<Neighbor> pool;
+  pool.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) pool.emplace_back(dists[i], ids[i]);
+  std::sort(pool.begin(), pool.end());
+  return SelectDiverse(dist, center, pool, m);
+}
+
 FixedDegreeGraph NswBuilder::Build(const Dataset& data, Metric metric,
                                    const NswBuildOptions& options) {
   const size_t n = data.num();
@@ -144,8 +147,9 @@ FixedDegreeGraph NswBuilder::Build(const Dataset& data, Metric metric,
   const size_t m = options.m == 0 ? std::max<size_t>(1, degree / 2)
                                   : std::min(options.m, degree);
   LockedGraph graph(n, degree);
-  const DistanceFunc dist = GetDistanceFunc(metric);
-  const size_t dim = data.dim();
+  // One BatchDistance per build: row norms are cached once, each gathered
+  // row is scored in one fused call, and pruning scores row against row.
+  const BatchDistance batch(metric, &data);
 
   // inserted[v]: v's own row is published and v may be traversed. Vertex 0
   // is the seed/entry vertex.
@@ -157,34 +161,22 @@ FixedDegreeGraph NswBuilder::Build(const Dataset& data, Metric metric,
   const auto is_inserted = [&](idx_t u) {
     return inserted[u].load(std::memory_order_acquire);
   };
-  auto insert_one = [&](idx_t v, EpochVisitedSet& visited,
+  auto insert_one = [&](idx_t v, BestFirstScratch& scratch,
                         std::vector<idx_t>& row_buf) {
     const float* point = data.Row(v);
     const auto row_of = [&](idx_t u) {
       return std::span<const idx_t>(row_buf.data(),
                                     graph.SnapshotRow(u, row_buf.data()));
     };
-    const auto distance = [&](idx_t u) {
-      return dist(point, data.Row(u), dim);
-    };
+    const BatchQueryDistance distance{batch, point, batch.QueryNormSqr(point)};
     const Neighbor entry(distance(0), 0);
     std::vector<Neighbor> found =
         BestFirstSearch(row_of, distance, {&entry, 1}, options.ef_construction,
-                        n, &visited, /*stats=*/nullptr, is_inserted);
-    const std::vector<idx_t> own = SelectDiverse(data, metric, v, found, m);
+                        n, &scratch, /*stats=*/nullptr, is_inserted);
+    const std::vector<idx_t> own = SelectDiverse(batch, v, found, m);
     graph.SetRow(v, own);
     inserted[v].store(true, std::memory_order_release);
-    auto dist_to = [&](idx_t center) {
-      return [&, center](idx_t u) {
-        return dist(data.Row(center), data.Row(u), dim);
-      };
-    };
-    auto select = [&](idx_t center, const std::vector<Neighbor>& pool) {
-      return SelectDiverse(data, metric, center, pool, degree);
-    };
-    for (const idx_t u : own) {
-      graph.AddEdgeWithShrink(u, v, dist_to(u), select);
-    }
+    for (const idx_t u : own) graph.AddEdgeWithShrink(u, v, batch);
   };
 
   // Warmup backbone: the earliest inserts define the navigable skeleton
@@ -193,16 +185,16 @@ FixedDegreeGraph NswBuilder::Build(const Dataset& data, Metric metric,
   const size_t warmup =
       std::min(n - 1, std::max<size_t>(degree * 32, n / 20));
   {
-    EpochVisitedSet visited;
+    BestFirstScratch scratch;
     std::vector<idx_t> row_buf(degree);
-    for (idx_t v = 1; v <= warmup; ++v) insert_one(v, visited, row_buf);
+    for (idx_t v = 1; v <= warmup; ++v) insert_one(v, scratch, row_buf);
   }
 
   ParallelFor(n - 1 - warmup, options.num_threads, [&](size_t job, size_t) {
-    thread_local EpochVisitedSet visited;
+    thread_local BestFirstScratch scratch;
     thread_local std::vector<idx_t> row_buf;
     row_buf.resize(degree);
-    insert_one(static_cast<idx_t>(job + 1 + warmup), visited, row_buf);
+    insert_one(static_cast<idx_t>(job + 1 + warmup), scratch, row_buf);
   });
 
   FixedDegreeGraph result = graph.Finish(n);

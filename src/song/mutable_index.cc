@@ -210,13 +210,12 @@ void MutableIndex::LinkNewVertex(const Dataset& data, FixedDegreeGraph* graph,
   // found is ascending (dist, id) — exactly the sorted pool the occlusion
   // heuristic expects. Same policy as construction, so link-time pruning is
   // deterministic (tests/graph/prune_order_test.cc).
-  const std::vector<idx_t> own =
-      NswBuilder::SelectDiverse(data, metric_, v, found, m);
+  const std::vector<idx_t> own = NswBuilder::SelectDiverse(bd, v, found, m);
   graph->SetNeighbors(v, own);
 
   if (hooks::mutation_drop_reverse_links) return;
 
-  for (const idx_t u : own) AddReverseLink(data, graph, u, v);
+  for (const idx_t u : own) AddReverseLink(bd, graph, u, v);
 
   // Reverse links can all be pruned away (and a reverse-row re-selection can
   // in principle disconnect some other vertex), so restore the invariant the
@@ -225,24 +224,14 @@ void MutableIndex::LinkNewVertex(const Dataset& data, FixedDegreeGraph* graph,
   NswBuilder::RepairConnectivity(data, metric_, graph);
 }
 
-bool MutableIndex::AddReverseLink(const Dataset& data, FixedDegreeGraph* graph,
-                                  idx_t u, idx_t v) {
+bool MutableIndex::AddReverseLink(const BatchDistance& dist,
+                                  FixedDegreeGraph* graph, idx_t u, idx_t v) {
   if (graph->AddNeighbor(u, v)) return true;
   // Degree overflow: deterministic link-time pruning. Re-select u's row from
   // its current neighbors plus v, exactly like construction-time overflow
   // (LockedGraph::AddEdgeWithShrink).
-  const DistanceFunc dist = GetDistanceFunc(metric_);
-  const size_t dim = data.dim();
-  const std::vector<idx_t> row = graph->Neighbors(u);
-  std::vector<Neighbor> pool;
-  pool.reserve(row.size() + 1);
-  for (const idx_t w : row) {
-    pool.emplace_back(dist(data.Row(u), data.Row(w), dim), w);
-  }
-  pool.emplace_back(dist(data.Row(u), data.Row(v), dim), v);
-  std::sort(pool.begin(), pool.end());
-  const std::vector<idx_t> kept =
-      NswBuilder::SelectDiverse(data, metric_, u, pool, graph->degree());
+  const std::vector<idx_t> kept = NswBuilder::ReselectRow(
+      dist, u, graph->Neighbors(u), v, graph->degree());
   graph->SetNeighbors(u, kept);
   return std::find(kept.begin(), kept.end(), v) != kept.end();
 }

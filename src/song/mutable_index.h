@@ -124,8 +124,8 @@ class MutableIndex {
   void UpdateGauges() SONG_REQUIRES(writer_mu_) SONG_EXCLUDES(snapshot_mu_);
   void LinkNewVertex(const Dataset& data, FixedDegreeGraph* graph, idx_t v,
                      idx_t entry) SONG_REQUIRES(writer_mu_);
-  bool AddReverseLink(const Dataset& data, FixedDegreeGraph* graph, idx_t u,
-                      idx_t v);
+  bool AddReverseLink(const BatchDistance& dist, FixedDegreeGraph* graph,
+                      idx_t u, idx_t v);
 
   Metric metric_;
   size_t dim_;

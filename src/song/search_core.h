@@ -12,13 +12,13 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/candidate_pool.h"
 #include "core/epoch_visited_set.h"
 #include "core/timer.h"
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
 #include "obs/trace.h"
 #include "song/bounded_heap.h"
-#include "song/candidate_pool.h"
 #include "song/search_options.h"
 #include "song/visited_table.h"
 

@@ -208,12 +208,12 @@ TEST(NswBuilder, ParallelBuildIsAlsoSearchable) {
   opts.num_threads = 4;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
   EXPECT_EQ(CountReachable(g, 0), fx.data.num());
-  EpochVisitedSet visited;
+  BestFirstScratch scratch;
   std::vector<std::vector<idx_t>> results(fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const auto found =
         GraphSearch(fx.data, Metric::kL2, g, 0,
-                    fx.queries.Row(static_cast<idx_t>(q)), 64, 10, &visited);
+                    fx.queries.Row(static_cast<idx_t>(q)), 64, 10, &scratch);
     for (const Neighbor& n : found) results[q].push_back(n.id);
   }
   EXPECT_GE(MeanRecallAtK(results, fx.gt10, 10), 0.8);
@@ -252,13 +252,13 @@ TEST(GraphSearch, FindsExactNeighborsOnGoodGraph) {
   opts.ef_construction = 200;
   opts.num_threads = 1;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
-  EpochVisitedSet visited;
+  BestFirstScratch scratch;
   std::vector<std::vector<idx_t>> results(fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const auto found =
         GraphSearch(fx.data, Metric::kL2, g, 0,
                     fx.queries.Row(static_cast<idx_t>(q)), 128, 10,
-                    &visited);
+                    &scratch);
     for (const Neighbor& n : found) results[q].push_back(n.id);
   }
   EXPECT_GE(MeanRecallAtK(results, fx.gt10, 10), 0.9);
@@ -269,10 +269,10 @@ TEST(GraphSearch, StatsAreCollected) {
   NswBuildOptions opts;
   opts.num_threads = 1;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
-  EpochVisitedSet visited;
+  BestFirstScratch scratch;
   GraphSearchStats stats;
   GraphSearch(fx.data, Metric::kL2, g, 0, fx.queries.Row(0), 32, 10,
-              &visited, &stats);
+              &scratch, &stats);
   EXPECT_GT(stats.distance_computations, 10u);
   EXPECT_GT(stats.hops, 0u);
   EXPECT_GE(stats.iterations, stats.hops);
@@ -283,9 +283,9 @@ TEST(GraphSearch, EfOneStillReturnsResults) {
   NswBuildOptions opts;
   opts.num_threads = 1;
   const FixedDegreeGraph g = NswBuilder::Build(fx.data, Metric::kL2, opts);
-  EpochVisitedSet visited;
+  BestFirstScratch scratch;
   const auto found = GraphSearch(fx.data, Metric::kL2, g, 0,
-                                 fx.queries.Row(0), 1, 1, &visited);
+                                 fx.queries.Row(0), 1, 1, &scratch);
   ASSERT_EQ(found.size(), 1u);
 }
 
@@ -360,13 +360,13 @@ TEST(NsgBuilder, SearchFromNavigatingNodeHasGoodRecall) {
   opts.degree = 16;
   opts.num_threads = 2;
   const NsgIndex nsg = NsgBuilder::Build(fx.data, Metric::kL2, opts);
-  EpochVisitedSet visited;
+  BestFirstScratch scratch;
   std::vector<std::vector<idx_t>> results(fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const auto found = GraphSearch(fx.data, Metric::kL2, nsg.graph,
                                    nsg.navigating_node,
                                    fx.queries.Row(static_cast<idx_t>(q)), 96,
-                                   10, &visited);
+                                   10, &scratch);
     for (const Neighbor& n : found) results[q].push_back(n.id);
   }
   EXPECT_GE(MeanRecallAtK(results, fx.gt10, 10), 0.85);

@@ -32,6 +32,10 @@ Dataset MakePoints(const std::vector<std::pair<float, float>>& xy) {
   return data;
 }
 
+BatchDistance L2(const Dataset& data) {
+  return BatchDistance(Metric::kL2, &data);
+}
+
 TEST(PruneOrder, OcclusionKeepsDiverseDropsShadowed) {
   // center 0 at x=0; 1 at x=1 (d=1); 3 at x=-1.5 (d=2.25); 2 at x=2 (d=4,
   // shadowed by 1: dist(1,2)=1 < 4); 4 at x=10 (d=100, shadowed by 1).
@@ -40,14 +44,14 @@ TEST(PruneOrder, OcclusionKeepsDiverseDropsShadowed) {
   const std::vector<Neighbor> pool = {
       {1.0f, 1}, {2.25f, 3}, {4.0f, 2}, {100.0f, 4}};
 
-  EXPECT_EQ(NswBuilder::SelectDiverse(data, Metric::kL2, 0, pool, 2),
+  EXPECT_EQ(NswBuilder::SelectDiverse(L2(data), 0, pool, 2),
             (std::vector<idx_t>{1, 3}));
   // m=3: backfill pulls the first discarded candidate (2), in pool order.
-  EXPECT_EQ(NswBuilder::SelectDiverse(data, Metric::kL2, 0, pool, 3),
+  EXPECT_EQ(NswBuilder::SelectDiverse(L2(data), 0, pool, 3),
             (std::vector<idx_t>{1, 3, 2}));
-  EXPECT_EQ(NswBuilder::SelectDiverse(data, Metric::kL2, 0, pool, 4),
+  EXPECT_EQ(NswBuilder::SelectDiverse(L2(data), 0, pool, 4),
             (std::vector<idx_t>{1, 3, 2, 4}));
-  EXPECT_EQ(NswBuilder::SelectDiverse(data, Metric::kL2, 0, pool, 1),
+  EXPECT_EQ(NswBuilder::SelectDiverse(L2(data), 0, pool, 1),
             (std::vector<idx_t>{1}));
 }
 
@@ -57,7 +61,7 @@ TEST(PruneOrder, EqualDistanceDoesNotOcclude) {
   // occlusion rule must keep it.
   const Dataset data = MakePoints({{0, 0}, {2, 0}, {1, 2}});
   const std::vector<Neighbor> pool = {{4.0f, 1}, {5.0f, 2}};
-  EXPECT_EQ(NswBuilder::SelectDiverse(data, Metric::kL2, 0, pool, 2),
+  EXPECT_EQ(NswBuilder::SelectDiverse(L2(data), 0, pool, 2),
             (std::vector<idx_t>{1, 2}));
 }
 
@@ -67,7 +71,7 @@ TEST(PruneOrder, EqualCenterDistanceTieBreaksByPoolOrder) {
   // survive occlusion.
   const Dataset data = MakePoints({{0, 0}, {1, 0}, {-1, 0}});
   const std::vector<Neighbor> pool = {{1.0f, 1}, {1.0f, 2}};
-  EXPECT_EQ(NswBuilder::SelectDiverse(data, Metric::kL2, 0, pool, 2),
+  EXPECT_EQ(NswBuilder::SelectDiverse(L2(data), 0, pool, 2),
             (std::vector<idx_t>{1, 2}));
 }
 
@@ -78,7 +82,7 @@ TEST(PruneOrder, CenterAndDuplicateIdsAreSkipped) {
   // kept twin) and backfill refuses to re-add a selected id.
   const std::vector<Neighbor> pool = {
       {0.0f, 0}, {1.0f, 1}, {1.0f, 1}, {9.0f, 2}};
-  EXPECT_EQ(NswBuilder::SelectDiverse(data, Metric::kL2, 0, pool, 3),
+  EXPECT_EQ(NswBuilder::SelectDiverse(L2(data), 0, pool, 3),
             (std::vector<idx_t>{1, 2}));
 }
 

@@ -107,7 +107,7 @@ struct LoggedBatchDistance {
 
 void RunDifferential(const Case& c, uint64_t runner_seed) {
   RandomEngine rng(BaseSeed() ^ runner_seed);
-  EpochVisitedSet visited;  // reused across instances of every size
+  BestFirstScratch scratch;  // reused across instances of every size
   size_t batch_calls_checked = 0;
   for (size_t round = 0; round < kRounds; ++round) {
     const Instance inst = MakeInstance(rng);
@@ -170,12 +170,12 @@ void RunDifferential(const Case& c, uint64_t runner_seed) {
             row_of,
             LoggedBatchDistance{&batch, query, qn, &visit_order,
                                 &per_id_calls},
-            entries, ef, n, &visited, &stats, may_traverse, on_scored);
+            entries, ef, n, &scratch, &stats, may_traverse, on_scored);
         ASSERT_EQ(per_id_calls, 0u) << where;
         batch_calls_checked += visit_order.size();
       } else {
         got = BestFirstSearch(row_of, LoggedDistance{score, &visit_order},
-                              entries, ef, n, &visited, &stats, may_traverse,
+                              entries, ef, n, &scratch, &stats, may_traverse,
                               on_scored);
       }
 
@@ -191,7 +191,7 @@ void RunDifferential(const Case& c, uint64_t runner_seed) {
       if (!c.multiple_entries && !c.hide_vertices && !c.batch) {
         const std::vector<Neighbor> top_k = GraphSearch(
             inst.data, inst.metric, inst.graph, entries[0].id, query, ef,
-            inst.k, &visited);
+            inst.k, &scratch);
         std::vector<Neighbor> expect =
             ReferenceBestFirstSearch(inst.graph, entries, std::max(ef, inst.k),
                                      score, make_may_traverse())

@@ -111,12 +111,12 @@ TEST(SongSearcher, MatchesReferenceGraphSearch) {
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   SongSearchOptions options;
   options.queue_size = 64;
-  EpochVisitedSet visited;
+  BestFirstScratch scratch;
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const float* query = fx.queries.Row(static_cast<idx_t>(q));
     const auto song = searcher.Search(query, 10, options);
     const auto ref = GraphSearch(fx.data, Metric::kL2, fx.graph, 0, query,
-                                 64, 10, &visited);
+                                 64, 10, &scratch);
     ASSERT_EQ(song.size(), ref.size());
     for (size_t i = 0; i < song.size(); ++i) {
       EXPECT_FLOAT_EQ(song[i].dist, ref[i].dist) << "query " << q << " pos "

@@ -18,9 +18,11 @@ Clang Thread Safety Analysis build (docs/static_analysis.md):
                      make_unique / make_shared / malloc / calloc / realloc /
                      push_back / emplace_back / std::string / SONG_LOG /
                      printf / fprintf / snprintf / std::cout / std::cerr.
-                     The two load-bearing regions (flight-recorder Record,
-                     search_core Stage 2) are REQUIRED to exist, so deleting
-                     a marker fails the lint rather than silently skipping.
+                     The load-bearing regions (REQUIRED_HOT_REGIONS below:
+                     flight-recorder Record, search_core Stage 2 and pool
+                     admission, BestFirstSearch admission, serve batch
+                     forming) are REQUIRED to exist, so deleting a marker
+                     fails the lint rather than silently skipping.
 
   status-discard     No raw `(void)call(...)` discards and no bare
                      `....status().ok();` statements. Intentional swallows
@@ -38,10 +40,12 @@ Clang Thread Safety Analysis build (docs/static_analysis.md):
                      hangs off those two tokens).
 
   one-search-loop    No std::priority_queue<Neighbor, ..., std::greater<>>
-                     min-heap frontier in src/ except the one in
+                     min-heap frontier anywhere in src/, and
                      graph/graph_search.h's BestFirstSearch (paper
-                     Algorithm 1). Builders and baselines instantiate that
-                     loop instead of writing another copy.
+                     Algorithm 1, the one best-first loop) must run on the
+                     sorted CandidatePool frontier (core/candidate_pool.h).
+                     Builders and baselines instantiate that loop instead
+                     of writing another copy.
 
 Usage:
   tools/lint/song_lint.py [--root DIR] [--self-test] [--list-rules]
@@ -67,6 +71,7 @@ END_SEQ = re.compile(r"//\s*song-lint:\s*end-seqlock\b")
 # Hot-path regions that must exist somewhere under src/. Deleting the
 # markers (or the code) must fail the lint, not silently pass it.
 REQUIRED_HOT_REGIONS = {
+    "best-first-admit",
     "flight-recorder-record",
     "search-core-pool-admit",
     "search-core-stage2",
@@ -110,8 +115,11 @@ NODISCARD_STATUS_FILE = os.path.join("src", "core", "status.h")
 # A best-first frontier: a min-heap of Neighbor (std::greater ordering).
 MIN_HEAP_FRONTIER = re.compile(
     r"\bstd::priority_queue\s*<\s*Neighbor\b[^;]*\bstd::greater\b")
-# The one file that may hold it, and it must hold exactly one.
+# The file holding the one best-first loop, whose definition must name the
+# sorted candidate pool.
 SEARCH_LOOP_FILE = os.path.join("src", "graph", "graph_search.h")
+SEARCH_LOOP_DEF = re.compile(r"\bBestFirstSearch\s*\(")
+CANDIDATE_POOL = re.compile(r"\b\w*CandidatePool\b")
 
 
 @dataclass
@@ -196,10 +204,8 @@ def collect_files(root: str, subdir: str = "src"):
                 yield os.path.relpath(full, root), full
 
 
-def lint_file(relpath: str, text: str, seen_hot_regions: set,
-              frontiers: list | None = None):
-    """Lints one file. Min-heap frontiers found in SEARCH_LOOP_FILE are
-    appended to `frontiers` (for the tree-level exactly-one check)."""
+def lint_file(relpath: str, text: str, seen_hot_regions: set):
+    """Lints one file."""
     violations = []
     in_hot = False
     hot_name = ""
@@ -274,17 +280,13 @@ def lint_file(relpath: str, text: str, seen_hot_regions: set,
                 "'.status().ok();' computed and dropped — handle the error "
                 "or use SONG_IGNORE_ERROR(...)"))
 
-        # one-search-loop: the only min-heap frontier is BestFirstSearch's.
+        # one-search-loop: no min-heap frontier anywhere.
         if MIN_HEAP_FRONTIER.search(code):
-            if relpath == SEARCH_LOOP_FILE:
-                if frontiers is not None:
-                    frontiers.append(lineno)
-            else:
-                violations.append(Violation(
-                    "one-search-loop", relpath, lineno,
-                    "min-heap best-first frontier outside "
-                    "graph/graph_search.h — instantiate BestFirstSearch "
-                    "instead of writing another Algorithm-1 loop"))
+            violations.append(Violation(
+                "one-search-loop", relpath, lineno,
+                "min-heap best-first frontier — instantiate BestFirstSearch "
+                "(graph/graph_search.h, on the sorted CandidatePool) "
+                "instead of writing another Algorithm-1 loop"))
 
         # seqlock-discipline: Slot::seq only inside seqlock regions.
         if os.path.basename(relpath).endswith(SEQ_FILES) and not in_seq:
@@ -306,10 +308,44 @@ def lint_file(relpath: str, text: str, seen_hot_regions: set,
     return violations
 
 
+def check_search_loop(relpath: str, text: str):
+    """one-search-loop, tree level: `text` (graph/graph_search.h) must
+    define BestFirstSearch, and its body must name the CandidatePool
+    frontier."""
+    code = "\n".join(c for _, _, c in iter_code_lines(text))
+    for m in SEARCH_LOOP_DEF.finditer(code):
+        # A definition: the parameter list is followed by a body, not `;`.
+        depth = 0
+        i = m.end() - 1
+        while i < len(code):
+            depth += {"(": 1, ")": -1}.get(code[i], 0)
+            i += 1
+            if depth == 0:
+                break
+        rest = code[i:].lstrip()
+        if not rest.startswith("{"):
+            continue
+        start = i + (len(code[i:]) - len(rest))
+        depth = 0
+        j = start
+        while j < len(code):
+            depth += {"{": 1, "}": -1}.get(code[j], 0)
+            j += 1
+            if depth == 0:
+                break
+        if CANDIDATE_POOL.search(code[start:j]):
+            return []
+        return [Violation(
+            "one-search-loop", relpath, code[:start].count("\n") + 1,
+            "BestFirstSearch does not run on the CandidatePool frontier "
+            "(core/candidate_pool.h)")]
+    return [Violation("one-search-loop", relpath, 0,
+                      "no BestFirstSearch definition found")]
+
+
 def lint_tree(root: str):
     violations = []
     seen_hot_regions: set = set()
-    frontiers: list = []
 
     for relpath, full in collect_files(root):
         try:
@@ -318,15 +354,16 @@ def lint_tree(root: str):
         except OSError as err:
             violations.append(Violation("io", relpath, 0, str(err)))
             continue
-        violations.extend(lint_file(relpath, text, seen_hot_regions,
-                                    frontiers))
+        violations.extend(lint_file(relpath, text, seen_hot_regions))
 
-    # one-search-loop: BestFirstSearch keeps exactly one frontier.
-    if len(frontiers) != 1:
+    # one-search-loop: BestFirstSearch runs on the CandidatePool.
+    try:
+        with open(os.path.join(root, SEARCH_LOOP_FILE), "r",
+                  encoding="utf-8") as f:
+            violations.extend(check_search_loop(SEARCH_LOOP_FILE, f.read()))
+    except OSError:
         violations.append(Violation(
-            "one-search-loop", SEARCH_LOOP_FILE, 0,
-            f"expected exactly one min-heap frontier (BestFirstSearch), "
-            f"found {len(frontiers)}"))
+            "one-search-loop", SEARCH_LOOP_FILE, 0, "file missing"))
 
     # hot-path: the load-bearing regions must exist.
     for name in sorted(REQUIRED_HOT_REGIONS - seen_hot_regions):
@@ -388,6 +425,16 @@ def self_test() -> int:
     run_one("bad_search_loop.cc", ["one-search-loop"])
     run_one("good_clean.cc", [])
 
+    # A heap-based BestFirstSearch must fail the tree-level check, and the
+    # planted frontier must be the line flagged by lint_file above.
+    with open(os.path.join(fixtures, "bad_search_loop.cc"), "r",
+              encoding="utf-8") as f:
+        got = check_search_loop("bad_search_loop.cc", f.read())
+    if [v.rule for v in got] != ["one-search-loop"] or got[0].line == 0:
+        failures.append(
+            "bad_search_loop.cc: a BestFirstSearch without the "
+            f"CandidatePool was not flagged ({[str(v) for v in got]})")
+
     # The real tree must carry the required hot-path regions.
     root = os.path.normpath(os.path.join(here, "..", ".."))
     tree = lint_tree(root)
@@ -405,7 +452,8 @@ def self_test() -> int:
             print("  " + f)
         return 1
     print("song_lint self-test passed "
-          "(8 fixtures, required regions and search loop present).")
+          "(8 fixtures, required regions and pool-based search loop "
+          "present).")
     return 0
 
 
