@@ -73,21 +73,19 @@ inline SimulatedRun SimulateBatch(const SongSearcher& searcher,
 /// Checked simulation for serving paths. Wraps the batch in the
 /// deterministic `transfer.htod` / `transfer.dtoh` fault sites (a tripped
 /// transfer returns kUnavailable — the caller may retry) and routes
-/// execution through BatchEngine::TrySearch, picking up query validation
-/// and admission control. With no faults armed and default admission the
-/// results are identical to SimulateBatch.
+/// execution through BatchEngine::TrySearch, picking up query validation.
+/// With no faults armed the results are identical to SimulateBatch.
 inline StatusOr<SimulatedRun> TrySimulateBatch(
     const SongSearcher& searcher, const Dataset& queries, size_t k,
     const SongSearchOptions& options, const GpuSpec& spec,
-    size_t num_threads = 0, const BatchTelemetry& telemetry = {},
-    const BatchAdmission& admission = {}) {
+    size_t num_threads = 0, const BatchTelemetry& telemetry = {}) {
   if (fault::ShouldFail("transfer.htod")) {
     return Status::Unavailable("injected fault: transfer.htod (query upload)");
   }
   SimulatedRun run;
   BatchEngine engine(&searcher, num_threads);
   StatusOr<BatchResult> batch =
-      engine.TrySearch(queries, k, options, telemetry, admission);
+      engine.TrySearch(queries, k, options, telemetry);
   if (!batch.ok()) return batch.status();
   run.batch = std::move(batch).value();
   if (fault::ShouldFail("transfer.dtoh")) {

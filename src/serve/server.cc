@@ -720,22 +720,12 @@ void SongServer::DispatchBatch(std::unique_ptr<PendingRequest>* batch,
   // The server stamps its own RequestTimeline covering the full network
   // lifecycle; engine-level per-request records would double-count.
   telemetry.request_lifecycle = false;
-  BatchAdmission admission;
-  admission.max_inflight = options_.max_inflight;
-  StatusOr<BatchResult> result =
-      engine_.TrySearch(queries, k, opts, telemetry, admission);
+  StatusOr<BatchResult> result = engine_.TrySearch(queries, k, opts, telemetry);
   if (!result.ok()) {
-    const bool shed =
-        result.status().code() == StatusCode::kResourceExhausted;
-    // Over-inflight sheds are retryable: kUnavailable on the wire.
-    const Status settled =
-        shed ? Status::Unavailable(result.status().message())
-             : result.status();
     for (size_t j = 0; j < live; ++j) {
-      SettleRequest(batch[j].get(), settled,
-                    shed ? Outcome::kShed : Outcome::kError, nullptr,
-                    /*degraded=*/false, /*rejected=*/false, dispatch_us,
-                    NowUs());
+      SettleRequest(batch[j].get(), result.status(), Outcome::kError,
+                    nullptr, /*degraded=*/false, /*rejected=*/false,
+                    dispatch_us, NowUs());
       batch[j].reset();
     }
     return;
@@ -852,7 +842,6 @@ std::string SongServer::ServeStatusJson() const {
   Appendf(&out, "\"queue_depth\": %zu, ", queue_.Size());
   Appendf(&out, "\"queue_capacity\": %zu, ", options_.queue_capacity);
   Appendf(&out, "\"max_batch\": %zu, ", options_.max_batch);
-  Appendf(&out, "\"max_inflight\": %zu, ", options_.max_inflight);
   Appendf(&out, "\"num_workers\": %zu, ", options_.num_workers);
   Appendf(&out, "\"batches\": %llu, ",
           static_cast<unsigned long long>(c.batches));

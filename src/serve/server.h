@@ -62,7 +62,6 @@ struct ServerOptions {
                                  ///< (0 = test-only: nothing dispatches;
                                  ///< the queue drains as shed at Drain())
   size_t engine_threads = 0;     ///< BatchEngine workers, 0 = hardware
-  size_t max_inflight = 0;       ///< engine admission (0 = unlimited)
   int io_timeout_ms = 5000;      ///< slow-client read/write bound
   uint32_t default_queue_size = 64;  ///< ef when a request sends 0
   size_t flight_recorder_capacity = 512;
@@ -140,9 +139,9 @@ class SongServer {
 
   /// The outcome taxonomy behind song.serve.outcome.*: kOk includes
   /// degraded-but-answered; kShed is admission-related refusal (queue full,
-  /// draining, engine over-inflight) and always retryable; kDeadline is a
-  /// budget that expired while queued; kError is everything else
-  /// (validation, decode, injected faults, engine failures).
+  /// draining) and always retryable; kDeadline is a budget that expired
+  /// while queued; kError is everything else (validation, decode, injected
+  /// faults, engine failures).
   enum class Outcome { kOk, kShed, kDeadline, kError };
 
   void AcceptLoop();

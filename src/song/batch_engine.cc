@@ -134,7 +134,7 @@ BatchResult BatchEngine::Search(const Dataset& queries, size_t k,
 
 StatusOr<BatchResult> BatchEngine::TrySearch(
     const Dataset& queries, size_t k, const SongSearchOptions& options,
-    const BatchTelemetry& telemetry, const BatchAdmission& admission) const {
+    const BatchTelemetry& telemetry) const {
   // Request lifecycle (enqueue stamp + ids + per-stage histograms) is armed
   // only when telemetry asks for it; otherwise this path is stamp-free and
   // results/allocations match the pre-lifecycle engine exactly.
@@ -150,7 +150,7 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
 
   // Records a single turned-away record for the whole batch: all lifetime
   // up to the refusal is queue time (the batch never got admitted).
-  auto record_refusal = [&](const Status& status, bool rejected) {
+  auto record_refusal = [&](const Status& status) {
     if (!lifecycle_on) return;
     obs::RequestTimeline tl;
     const double now = clock.ElapsedMicros();
@@ -158,7 +158,7 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
     tl.batched_us = tl.search_begin_us = tl.complete_us = now;
     obs::RequestRecord rec = obs::RequestRecord::Make(
         id_base, options.Digest(k), tl, status.code(), /*degraded=*/false,
-        rejected);
+        /*rejected=*/true);
     obs::RequestMetrics(telemetry.registry).Record(rec);
     if (telemetry.flight_recorder != nullptr) {
       telemetry.flight_recorder->Record(rec);
@@ -170,58 +170,22 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
         "query dim " + std::to_string(queries.dim()) +
         " does not match index dim " +
         std::to_string(searcher_->data().dim()));
-    record_refusal(status, /*rejected=*/true);
+    record_refusal(status);
     return status;
   }
-  if (k == 0) {
-    Status status = Status::InvalidArgument("k must be >= 1");
-    record_refusal(status, /*rejected=*/true);
-    return status;
-  }
-  if (k > searcher_->data().num()) {
-    Status status = Status::InvalidArgument(
-        "k = " + std::to_string(k) + " exceeds the dataset size " +
-        std::to_string(searcher_->data().num()));
-    record_refusal(status, /*rejected=*/true);
-    return status;
-  }
-  const size_t ef = std::max(options.queue_size, k);
-  if (ef > SongSearcher::kMaxQueueSize) {
-    Status status = Status::ResourceExhausted(
-        "effective queue size " + std::to_string(ef) +
-        " exceeds the admission limit " +
-        std::to_string(SongSearcher::kMaxQueueSize));
-    record_refusal(status, /*rejected=*/true);
-    return status;
+  const Status shape = searcher_->ValidateOptions(k, options);
+  if (!shape.ok()) {
+    record_refusal(shape);
+    return shape;
   }
 
-  if (admission.max_inflight > 0) {
-    const size_t prior = inflight_.fetch_add(1, std::memory_order_acq_rel);
-    if (prior >= admission.max_inflight) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      if (telemetry.registry != nullptr) {
-        telemetry.registry->GetCounter("song.batch.shed").Increment();
-      }
-      Status status = Status::ResourceExhausted(
-          "batch shed: " + std::to_string(prior) +
-          " batches already in flight (max_inflight = " +
-          std::to_string(admission.max_inflight) + ")");
-      record_refusal(status, /*rejected=*/false);
-      return status;
-    }
-  } else {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-  }
   LifecycleContext lifecycle;
   lifecycle.clock = &clock;
   lifecycle.enqueue_us = 0.0;
   lifecycle.request_id_base = id_base;
   lifecycle.options_digest = options.Digest(k);
-  BatchResult batch = RunBatch(queries, k, options, telemetry,
-                               /*validate=*/true,
-                               lifecycle_on ? &lifecycle : nullptr);
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  return batch;
+  return RunBatch(queries, k, options, telemetry, /*validate=*/true,
+                  lifecycle_on ? &lifecycle : nullptr);
 }
 
 BatchResult BatchEngine::RunBatch(const Dataset& queries, size_t k,

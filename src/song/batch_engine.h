@@ -24,15 +24,6 @@
 
 namespace song {
 
-/// Admission control for TrySearch. `max_inflight` bounds the number of
-/// batches the engine serves concurrently; a batch arriving past the limit
-/// is shed immediately with kResourceExhausted rather than queued — the
-/// caller (a serving tier) decides whether to retry, reroute, or drop.
-/// 0 = unlimited (no admission check at all).
-struct BatchAdmission {
-  size_t max_inflight = 0;
-};
-
 /// Opt-in observability for a batch run: per-query traces at 1-in-M
 /// sampling and/or metric recording into a registry. The defaults (no
 /// registry, period 0) make telemetry a no-op.
@@ -122,23 +113,15 @@ class BatchEngine {
                      const BatchTelemetry& telemetry) const;
 
   /// Checked batch search for serving: validates the batch shape and
-  /// options up front (dim mismatch, k = 0, oversized queue), applies
-  /// admission control (`admission.max_inflight`), and screens each query
-  /// for NaN/Inf — a bad query is recorded in `rejected` with an empty
-  /// result list instead of poisoning the batch. A shed batch returns
-  /// kResourceExhausted and bumps `song.batch.shed`. Valid queries behave
-  /// exactly as under Search().
+  /// options up front (the dim, then SongSearcher::ValidateOptions) and
+  /// screens each query for NaN/Inf — a bad query is recorded in `rejected`
+  /// with an empty result list instead of poisoning the batch. Valid
+  /// queries behave exactly as under Search().
   StatusOr<BatchResult> TrySearch(const Dataset& queries, size_t k,
                                   const SongSearchOptions& options,
-                                  const BatchTelemetry& telemetry = {},
-                                  const BatchAdmission& admission = {}) const;
+                                  const BatchTelemetry& telemetry = {}) const;
 
   size_t num_threads() const { return num_threads_; }
-
-  /// Batches currently executing (admission-control accounting).
-  size_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// Request-lifecycle context for one checked batch: the shared monotonic
@@ -160,7 +143,6 @@ class BatchEngine {
 
   const SongSearcher* searcher_;
   size_t num_threads_;
-  mutable std::atomic<size_t> inflight_{0};
   /// Process-lifetime request ids for flight-recorder records.
   mutable std::atomic<uint64_t> request_seq_{0};
 };

@@ -204,7 +204,7 @@ Status SongSearcher::ValidateQuery(const float* query) const {
   return Status::OK();
 }
 
-Status SongSearcher::ValidateRequest(const float* query, size_t k,
+Status SongSearcher::ValidateOptions(size_t k,
                                      const SongSearchOptions& options) const {
   if (k == 0) {
     return Status::InvalidArgument("k must be >= 1");
@@ -229,6 +229,12 @@ Status SongSearcher::ValidateRequest(const float* query, size_t k,
         "SongSearcher::EnablePq (or load a .sngq codebook) on a static "
         "index first; mutable-index snapshots serve exact search only");
   }
+  return Status::OK();
+}
+
+Status SongSearcher::ValidateRequest(const float* query, size_t k,
+                                     const SongSearchOptions& options) const {
+  SONG_RETURN_IF_ERROR(ValidateOptions(k, options));
   return ValidateQuery(query);
 }
 

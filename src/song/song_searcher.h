@@ -66,8 +66,13 @@ class SongSearcher {
   /// bounded-heap ordering undefined).
   Status ValidateQuery(const float* query) const;
 
-  /// Validates a full request (query payload + option sanity + capacity
-  /// admission) before touching any per-query structure.
+  /// Validates the request shape every query of a request shares: k against
+  /// the dataset, the effective queue size against kMaxQueueSize,
+  /// multi_step_probe, and a PQ codebook when options.quant == kPq.
+  Status ValidateOptions(size_t k, const SongSearchOptions& options) const;
+
+  /// Validates a full request (ValidateOptions, then ValidateQuery) before
+  /// touching any per-query structure.
   Status ValidateRequest(const float* query, size_t k,
                          const SongSearchOptions& options) const;
 

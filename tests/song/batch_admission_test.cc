@@ -1,13 +1,10 @@
-// Admission-control and input-validation tests for the serving layer:
-// batch shedding under max_inflight, NaN/Inf query rejection, dim-mismatch
-// and bad-k refusal, and the capacity-checked TryPush/TryReset admission on
-// the bounded per-query structures.
+// Input-validation tests for the checked batch path: NaN/Inf query
+// rejection, dim-mismatch, bad-k and bad-option refusal, and the
+// capacity-checked TryPush/TryReset admission on the bounded per-query
+// structures.
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -74,6 +71,33 @@ TEST(BatchAdmission, BadKAndOversizedQueueRefused) {
             StatusCode::kResourceExhausted);
 }
 
+// The engine runs SongSearcher's own shape check, so a batch is refused
+// with the same status a single checked query gets, never an abort.
+TEST(BatchAdmission, PqWithoutCodebookIsFailedPrecondition) {
+  const AdmissionFixture& fx = AdmissionFixture::Get();
+  SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  BatchEngine engine(&searcher, 1);
+  SongSearchOptions pq;
+  pq.quant = QuantizationMode::kPq;
+  const auto batch = engine.TrySearch(fx.queries, 10, pq);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kFailedPrecondition);
+  SongWorkspace ws;
+  const auto single = searcher.TrySearch(fx.queries.Row(0), 10, pq, &ws);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(batch.status().message(), single.status().message());
+}
+
+TEST(BatchAdmission, ZeroMultiStepProbeIsInvalidArgument) {
+  const AdmissionFixture& fx = AdmissionFixture::Get();
+  SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  BatchEngine engine(&searcher, 1);
+  SongSearchOptions options;
+  options.multi_step_probe = 0;
+  EXPECT_EQ(engine.TrySearch(fx.queries, 10, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(BatchAdmission, NanAndInfQueriesAreRejectedNotSearched) {
   const AdmissionFixture& fx = AdmissionFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
@@ -134,52 +158,6 @@ TEST(BatchAdmission, TrySearchMatchesSearchForValidInput) {
     EXPECT_EQ((*checked)[i].id, plain[i].id);
     EXPECT_EQ((*checked)[i].dist, plain[i].dist);
   }
-}
-
-TEST(BatchAdmission, MaxInflightShedsConcurrentBatches) {
-  const AdmissionFixture& fx = AdmissionFixture::Get();
-  SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
-  BatchEngine engine(&searcher, 1);
-  SongSearchOptions slow;
-  slow.queue_size = 512;  // enough work to hold the inflight slot
-
-  obs::MetricsRegistry registry;
-  BatchTelemetry telemetry;
-  telemetry.registry = &registry;
-  BatchAdmission admission;
-  admission.max_inflight = 1;
-
-  std::atomic<bool> worker_done{false};
-  std::thread worker([&] {
-    for (int i = 0; i < 50 && !worker_done.load(); ++i) {
-      const auto r = engine.TrySearch(fx.queries, 10, slow, telemetry,
-                                      admission);
-      ASSERT_TRUE(r.ok());
-    }
-    worker_done.store(true);
-  });
-
-  // Keep trying while the worker holds the slot; with max_inflight=1 the
-  // overlapping submission must be shed with kResourceExhausted.
-  bool shed = false;
-  while (!worker_done.load() && !shed) {
-    if (engine.inflight() == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    const auto r = engine.TrySearch(fx.queries, 10, slow, telemetry,
-                                    admission);
-    if (!r.ok()) {
-      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-      shed = true;
-    }
-  }
-  worker_done.store(true);
-  worker.join();
-  if (shed) {
-    EXPECT_GE(registry.GetCounter("song.batch.shed").Value(), 1u);
-  }
-  EXPECT_EQ(engine.inflight(), 0u);  // accounting balanced either way
 }
 
 TEST(BoundedStructures, TryPushReportsCapacityExhaustion) {

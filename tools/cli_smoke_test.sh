@@ -206,6 +206,9 @@ expect_fail 2 "malformed --pq" -- search --data "$DIR/data.sngd" \
 expect_fail 2 "incompatible with --pq" -- search --data "$DIR/data.sngd" \
       --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" \
       --mutate-spec rounds=1,inserts=5 --pq m=8
+expect_fail 2 "max-inflight requires --mutate-spec" -- search \
+      --data "$DIR/data.sngd" --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" \
+      --max-inflight 4
 
 # --- Request-lifecycle observability (docs/observability.md) ---------------
 
@@ -293,6 +296,13 @@ if [ -n "$SERVER" ] && [ -n "$LOADGEN" ]; then
         --workers 0 >/dev/null 2>"$SERVE_ERR" || CODE=$?
   [ "$CODE" -eq 2 ] && grep -q "workers must be >= 1" "$SERVE_ERR" || {
     echo "FAIL: --workers 0 not rejected (exit $CODE)" >&2; exit 1; }
+  # No engine-admission flag: the dispatch slots bound the batches in
+  # flight at --workers.
+  CODE=0
+  "$SERVER" --data "$DIR/data.sngd" --graph "$DIR/graph.sngg" \
+        --max-inflight 4 >/dev/null 2>"$SERVE_ERR" || CODE=$?
+  [ "$CODE" -eq 2 ] && grep -q "unknown flag --max-inflight" "$SERVE_ERR" || {
+    echo "FAIL: --max-inflight not rejected (exit $CODE)" >&2; exit 1; }
   CODE=0
   "$LOADGEN" --port 1 --dim 4 --mode open >/dev/null 2>"$SERVE_ERR" \
         || CODE=$?

@@ -44,8 +44,12 @@ Clang Thread Safety Analysis build (docs/static_analysis.md):
                      graph/graph_search.h's BestFirstSearch (paper
                      Algorithm 1, the one best-first loop) must run on the
                      sorted CandidatePool frontier (core/candidate_pool.h).
-                     Builders and baselines instantiate that loop instead
-                     of writing another copy.
+                     The SMMH frontier types (SymmetricMinMaxHeap,
+                     BoundedMaxHeap) may be named in code only by their
+                     definition (song/bounded_heap.h) and SongSearchCore
+                     (song/search_core.h). Builders, baselines and models
+                     instantiate those loops instead of writing another
+                     copy.
 
 Usage:
   tools/lint/song_lint.py [--root DIR] [--self-test] [--list-rules]
@@ -120,6 +124,13 @@ MIN_HEAP_FRONTIER = re.compile(
 SEARCH_LOOP_FILE = os.path.join("src", "graph", "graph_search.h")
 SEARCH_LOOP_DEF = re.compile(r"\bBestFirstSearch\s*\(")
 CANDIDATE_POOL = re.compile(r"\b\w*CandidatePool\b")
+# The SMMH frontier types, and the only files whose code may name them: the
+# definition and the one Stage 1/2/3 loop that runs on them.
+SMMH_FRONTIER = re.compile(r"\b(SymmetricMinMaxHeap|BoundedMaxHeap)\b")
+SMMH_ALLOWED = {
+    os.path.join("src", "song", "bounded_heap.h"),
+    os.path.join("src", "song", "search_core.h"),
+}
 
 
 @dataclass
@@ -287,6 +298,15 @@ def lint_file(relpath: str, text: str, seen_hot_regions: set):
                 "min-heap best-first frontier — instantiate BestFirstSearch "
                 "(graph/graph_search.h, on the sorted CandidatePool) "
                 "instead of writing another Algorithm-1 loop"))
+        if relpath not in SMMH_ALLOWED:
+            m = SMMH_FRONTIER.search(code)
+            if m:
+                violations.append(Violation(
+                    "one-search-loop", relpath, lineno,
+                    f"{m.group(1)} frontier outside song/bounded_heap.h and "
+                    "song/search_core.h — run the query through "
+                    "SongSearchCore instead of writing another Algorithm-1 "
+                    "loop"))
 
         # seqlock-discipline: Slot::seq only inside seqlock regions.
         if os.path.basename(relpath).endswith(SEQ_FILES) and not in_seq:
@@ -423,6 +443,7 @@ def self_test() -> int:
     run_one("bad_seqlock.flight_recorder.cc", ["seqlock-discipline"])
     run_one("bad_unterminated.cc", ["hot-path"])
     run_one("bad_search_loop.cc", ["one-search-loop"])
+    run_one("bad_smmh_loop.cc", ["one-search-loop"])
     run_one("good_clean.cc", [])
 
     # A heap-based BestFirstSearch must fail the tree-level check, and the
@@ -434,6 +455,16 @@ def self_test() -> int:
         failures.append(
             "bad_search_loop.cc: a BestFirstSearch without the "
             f"CandidatePool was not flagged ({[str(v) for v in got]})")
+
+    # Both planted SMMH uses are flagged; the comment and string are not.
+    with open(os.path.join(fixtures, "bad_smmh_loop.cc"), "r",
+              encoding="utf-8") as f:
+        got = lint_file(os.path.join("src", "fixture", "bad_smmh_loop.cc"),
+                        f.read(), set())
+    if len(got) != 2:
+        failures.append(
+            "bad_smmh_loop.cc: expected exactly the 2 planted SMMH uses "
+            f"flagged, got {[str(v) for v in got]}")
 
     # The real tree must carry the required hot-path regions.
     root = os.path.normpath(os.path.join(here, "..", ".."))
@@ -452,7 +483,7 @@ def self_test() -> int:
             print("  " + f)
         return 1
     print("song_lint self-test passed "
-          "(8 fixtures, required regions and pool-based search loop "
+          "(9 fixtures, required regions and pool-based search loop "
           "present).")
     return 0
 

@@ -15,7 +15,7 @@
 //                     [--metrics out.prom] [--metrics-json out.json]
 //                     [--trace out.trace.json] [--trace-sample 100]
 //                     [--deadline-us N] [--cost-budget N]
-//                     [--max-inflight N]
+//                     [--max-inflight N]  (with --mutate-spec only)
 //                     [--fault-spec spec] [--fault-seed N]
 //                     [--mutate-spec rounds=R,inserts=I,deletes=D[,seed=S]]
 //                     [--pq m=<M>[,rerank=<R>][,save=<path>][,load=<path>]]
@@ -37,10 +37,9 @@
 //
 // Robustness (docs/robustness.md): --deadline-us / --cost-budget cap each
 // query's work, returning best-so-far results tagged degraded;
-// --max-inflight sheds batches past the limit; --fault-spec arms the
-// deterministic fault registry (site=prob[@max],... — see
-// core/fault_injection.h). Errors never raise exceptions: malformed flags
-// exit 2, corrupt or missing inputs exit 1 with a Status diagnostic.
+// --fault-spec arms the deterministic fault registry (site=prob[@max],...
+// — see core/fault_injection.h). Errors never raise exceptions: malformed
+// flags exit 2, corrupt or missing inputs exit 1 with a Status diagnostic.
 //
 // Telemetry: --metrics / --metrics-json dump the batch's MetricsRegistry in
 // Prometheus text / JSON. --trace writes sampled per-query Chrome trace_event
@@ -546,9 +545,8 @@ int RunMutateSearch(const Flags& flags, Dataset data, FixedDegreeGraph graph,
     listener_guard.armed = true;
   }
 
-  const size_t max_inflight =
-      static_cast<size_t>(ParseUint(flags, "max-inflight", "0"));
-  const size_t workers = std::max<size_t>(1, max_inflight);
+  const size_t workers = std::max<size_t>(
+      1, static_cast<size_t>(ParseUint(flags, "max-inflight", "0")));
   std::vector<SongWorkspace> workspaces(workers);
   std::vector<std::vector<Neighbor>> results(queries.num());
   std::vector<Status> errors(queries.num());
@@ -695,6 +693,12 @@ int CmdSearch(const Flags& flags) {
     std::fprintf(stderr, "--fault-seed requires --fault-spec\n");
     return 2;
   }
+  if (flags.count("max-inflight") != 0 && flags.count("mutate-spec") == 0) {
+    std::fprintf(stderr,
+                 "--max-inflight requires --mutate-spec (it bounds the "
+                 "mutate leg's concurrent requests)\n");
+    return 2;
+  }
 
   Dataset data = LoadDatasetOrDie(Require(flags, "data"));
   const Dataset queries = LoadDatasetOrDie(Require(flags, "queries"));
@@ -712,8 +716,6 @@ int CmdSearch(const Flags& flags) {
   const bool reorder = ParseReorder(Optional(flags, "reorder", "none"));
   options.deadline_us = ParseUint(flags, "deadline-us", "0");
   options.cost_budget = ParseUint(flags, "cost-budget", "0");
-  BatchAdmission admission;
-  admission.max_inflight = ParseUint(flags, "max-inflight", "0");
 
   const std::string mutate_spec = Optional(flags, "mutate-spec", "");
   if (!mutate_spec.empty()) {
@@ -836,7 +838,7 @@ int CmdSearch(const Flags& flags) {
 
   StatusOr<SimulatedRun> run_or =
       TrySimulateBatch(searcher, queries, k, options, gpu, /*num_threads=*/0,
-                       telemetry, admission);
+                       telemetry);
   if (!run_or.ok()) {
     std::fprintf(stderr, "search failed: %s\n",
                  run_or.status().ToString().c_str());

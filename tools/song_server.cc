@@ -5,7 +5,7 @@
 //               [--metric l2|ip|cosine] [--config hashtable|sel|seldel|
 //                bloom|cuckoo]
 //               [--max-batch 32] [--queue-capacity 256]
-//               [--max-inflight N] [--max-connections 64] [--workers 2]
+//               [--max-connections 64] [--workers 2]
 //               [--engine-threads 0] [--io-timeout-ms 5000]
 //               [--default-queue-size 64]
 //               [--fault-spec spec] [--fault-seed N]
@@ -141,10 +141,10 @@ int main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv, 1);
   CheckFlags(flags,
              {"data", "graph", "host", "port", "port-file", "metric",
-              "config", "max-batch", "queue-capacity",
-              "max-inflight", "max-connections", "workers", "engine-threads",
-              "io-timeout-ms", "default-queue-size", "fault-spec",
-              "fault-seed", "statusz-on-exit", "duration-s"});
+              "config", "max-batch", "queue-capacity", "max-connections",
+              "workers", "engine-threads", "io-timeout-ms",
+              "default-queue-size", "fault-spec", "fault-seed",
+              "statusz-on-exit", "duration-s"});
 
   const std::string fault_spec = Optional(flags, "fault-spec", "");
   if (!fault_spec.empty()) {
@@ -184,7 +184,6 @@ int main(int argc, char** argv) {
   options.max_batch = ParseUint(flags, "max-batch", "32");
   options.num_workers = ParseUint(flags, "workers", "2");
   options.engine_threads = ParseUint(flags, "engine-threads", "0");
-  options.max_inflight = ParseUint(flags, "max-inflight", "0");
   options.io_timeout_ms =
       static_cast<int>(ParseUint(flags, "io-timeout-ms", "5000"));
   options.default_queue_size = static_cast<uint32_t>(

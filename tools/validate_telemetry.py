@@ -272,8 +272,8 @@ def validate_flight_recorder(path):
 def validate_serve_doc(doc, label="statusz.serve"):
     check(isinstance(doc, dict), f"{label}: not an object")
     for key in ("port", "connections", "queue_depth", "queue_capacity",
-                "max_batch", "max_inflight", "num_workers", "batches",
-                "inline_dispatches", "accepted"):
+                "max_batch", "num_workers", "batches", "inline_dispatches",
+                "accepted"):
         check(isinstance(doc.get(key), int) and doc[key] >= 0,
               f"{label}: {key!r} not a non-negative int: {doc.get(key)!r}")
     check(isinstance(doc.get("draining"), bool),
