@@ -567,25 +567,18 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
   conn->NoteIssued();
 
   // Per-request validation up front: one hostile request must never poison
-  // batchmates or occupy a queue slot.
+  // batchmates or occupy a queue slot. The searcher's own shape check
+  // answers with the code and message SongSearcher::TrySearch would.
   Status invalid = Status::OK();
   if (request->query.size() != searcher_->data().dim()) {
     invalid = Status::InvalidArgument(
         "query dim " + std::to_string(request->query.size()) +
         " does not match index dim " +
         std::to_string(searcher_->data().dim()));
-  } else if (request->k == 0) {
-    invalid = Status::InvalidArgument("k must be >= 1");
-  } else if (request->k > searcher_->data().num()) {
-    invalid = Status::InvalidArgument(
-        "k = " + std::to_string(request->k) + " exceeds the dataset size " +
-        std::to_string(searcher_->data().num()));
-  } else if (std::max<size_t>(request->queue_size, request->k) >
-             SongSearcher::kMaxQueueSize) {
-    invalid = Status::InvalidArgument(
-        "effective queue size " +
-        std::to_string(std::max<size_t>(request->queue_size, request->k)) +
-        " exceeds the limit " + std::to_string(SongSearcher::kMaxQueueSize));
+  } else {
+    SongSearchOptions shape = options_.base_options;
+    shape.queue_size = request->queue_size;
+    invalid = searcher_->ValidateOptions(request->k, shape);
   }
   if (!invalid.ok()) {
     const double now = NowUs();

@@ -21,8 +21,15 @@ inline bool smmh_sift_off_by_one = false;
 /// Planted mutation B: OpenAddressingSet::Reset sizes the slot array to the
 /// next power of two >= capacity/2 instead of >= 2*capacity (a dropped
 /// doubling), so the table saturates long before its declared element
-/// capacity and the search starts treating unvisited vertices as visited.
+/// capacity. Reaches only OpenAddressingSet itself; the search's
+/// kHashTable runs on CappedEpochSet (mutation D).
 inline bool hash_set_skip_growth = false;
+
+/// Planted mutation D: CappedEpochSet::Insert ignores its element-capacity
+/// bound, so a kHashTable visited set never saturates and a search whose
+/// table should have filled keeps marking (and enqueueing) vertices the
+/// GPU table would have refused.
+inline bool hash_table_ignore_capacity = false;
 
 /// Planted mutation C: MutableIndex::Insert skips the reverse-link step, so
 /// a newly inserted vertex keeps its out-edges but gains no in-edges — it is

@@ -10,6 +10,7 @@
 #define SONG_SONG_SEARCH_CORE_H_
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "core/candidate_pool.h"
@@ -45,11 +46,9 @@ namespace internal {
 
 /// Auto-sizes the exact-structure visited capacity (paper §IV-A: "the length
 /// is proportional to the searching parameter K and can be pre-computed").
+/// The epoch array is unbounded, so its capacity goes unused.
 inline size_t AutoHashCapacity(const SongSearchOptions& options,
                                size_t queue_size, size_t num_points) {
-  if (options.structure == VisitedStructure::kEpochArray) {
-    return num_points;  // dense stamp array covers every vertex id
-  }
   if (options.hash_capacity != 0) return options.hash_capacity;
   size_t cap;
   if (options.visited_deletion) {
@@ -111,14 +110,18 @@ inline bool UsesCandidatePool(const SongSearchOptions& options) {
 /// The GPU-faithful frontier (§IV-C): the bounded symmetric min-max heap
 /// `q` plus the bounded top-K max-heap, over any visited structure, with
 /// selected insertion (§IV-D) and visited deletion (§IV-E). Vertices are
-/// marked visited in Stage 3, after their distance is known.
+/// marked visited in Stage 3, after their distance is known. `Visited` is
+/// resolved once per query (SongSearchCore): the exact structures run on
+/// the dispatch-free CappedEpochSet, the Bloom and Cuckoo filters through
+/// `VisitedTable&`.
+template <typename Visited>
 class SmmhFrontier {
  public:
   SmmhFrontier(SongWorkspace* workspace, const SongSearchOptions& options,
                size_t ef, size_t num_points, SearchStats* local)
       : q_(workspace->q),
         topk_(workspace->topk),
-        visited_(workspace->visited),
+        visited_(ResetVisited(workspace->visited, options, ef, num_points)),
         selected_insertion_(options.selected_insertion),
         deletion_ok_(options.visited_deletion &&
                      options.structure != VisitedStructure::kBloomFilter) {
@@ -128,10 +131,7 @@ class SmmhFrontier {
       q_.Clear();
     }
     topk_.Reset(ef);
-    visited_.Reset(options.structure,
-                   AutoHashCapacity(options, ef, num_points),
-                   options.bloom_bits);
-    local->visited_capacity_bytes = visited_.MemoryBytes();
+    local->visited_capacity_bytes = workspace->visited.MemoryBytes();
     local->queue_bytes = (ef + 2 + ef) * sizeof(Neighbor);
   }
 
@@ -243,9 +243,21 @@ class SmmhFrontier {
   }
 
  private:
+  static Visited ResetVisited(VisitedTable& table,
+                              const SongSearchOptions& options, size_t ef,
+                              size_t num_points) {
+    table.Reset(options.structure, AutoHashCapacity(options, ef, num_points),
+                num_points, options.bloom_bits);
+    if constexpr (std::is_same_v<Visited, CappedEpochSet>) {
+      return table.exact();
+    } else {
+      return table;
+    }
+  }
+
   SymmetricMinMaxHeap& q_;
   BoundedMaxHeap& topk_;
-  VisitedTable& visited_;
+  Visited visited_;
   const bool selected_insertion_;
   const bool deletion_ok_;
 };
@@ -489,10 +501,11 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
 /// The frontier is a compile-time policy of the one Stage 1/2/3 loop. The
 /// CPU preset (internal::UsesCandidatePool: epoch-array visited, no §IV-D/E
 /// rules) runs on a sorted CandidatePool; every other configuration runs on
-/// SONG's SMMH queue plus top-K heap. Both expand the same vertices in the
-/// same order and return the same neighbors; the pool skips the SMMH's
-/// final round that only discovers termination, so its `iterations` counts
-/// expansion rounds.
+/// SONG's SMMH queue plus top-K heap, whose visited structure is resolved
+/// here too: the exact ones on CappedEpochSet, the filters on VisitedTable.
+/// Both frontiers expand the same vertices in the same order and return the
+/// same neighbors; the pool skips the SMMH's final round that only
+/// discovers termination, so its `iterations` counts expansion rounds.
 ///
 /// Budgets (options.deadline_us / options.cost_budget) are checked once per
 /// main-loop round; on exhaustion the search stops and returns the best-so-
@@ -532,7 +545,12 @@ std::vector<Neighbor> SongSearchCore(const FixedDegreeGraph& graph,
         graph, entry, num_points, point_bytes, distance, k, options, workspace,
         stats, trace, degraded);
   }
-  return internal::RunSearch<internal::SmmhFrontier>(
+  if (IsExactVisited(options.structure)) {
+    return internal::RunSearch<internal::SmmhFrontier<CappedEpochSet>>(
+        graph, entry, num_points, point_bytes, distance, k, options, workspace,
+        stats, trace, degraded);
+  }
+  return internal::RunSearch<internal::SmmhFrontier<VisitedTable&>>(
       graph, entry, num_points, point_bytes, distance, k, options, workspace,
       stats, trace, degraded);
 }

@@ -216,9 +216,9 @@ Status SongSearcher::ValidateOptions(size_t k,
   }
   const size_t ef = std::max(options.queue_size, k);
   if (ef > kMaxQueueSize) {
-    return Status::ResourceExhausted(
-        "effective queue size " + std::to_string(ef) +
-        " exceeds the admission limit " + std::to_string(kMaxQueueSize));
+    return Status::InvalidArgument(
+        "effective queue size " + std::to_string(ef) + " exceeds the limit " +
+        std::to_string(kMaxQueueSize));
   }
   if (options.multi_step_probe == 0) {
     return Status::InvalidArgument("multi_step_probe must be >= 1");

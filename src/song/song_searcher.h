@@ -58,7 +58,9 @@ class SongSearcher {
                                SearchStats* stats = nullptr) const;
 
   /// Largest admissible effective queue size (ef). Guards the fixed
-  /// per-query allocations against corrupt or hostile option values.
+  /// per-query allocations against corrupt or hostile option values. A
+  /// larger ef is kInvalidArgument, not kResourceExhausted: such a request
+  /// can never fit, so it must not read as a retryable shed.
   static constexpr size_t kMaxQueueSize = size_t{1} << 22;
 
   /// Rejects queries the pipeline cannot serve meaningfully: null or

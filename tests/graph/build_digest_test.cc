@@ -10,7 +10,6 @@
 // pinned as well, since queries descend the upper layers too.
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -19,46 +18,18 @@
 #include "baselines/hnsw.h"
 #include "core/dataset.h"
 #include "core/distance.h"
-#include "core/random.h"
 #include "graph/fixed_degree_graph.h"
 #include "graph/nsg_builder.h"
 #include "graph/nsw_builder.h"
 #include "gtest/gtest.h"
+#include "harness/exact_data.h"
 #include "song/mutable_index.h"
 
 namespace song {
 namespace {
 
-enum class Coords { kTies, kGauss };
-
-// kTies: coordinates in {0, 1, 2, 3} (dim 6), so many pairs share a
-// distance exactly. kGauss: 8 Gaussian clusters in 16 dimensions, rounded
-// to multiples of 1/8. Either way every product and partial sum is exact
-// in float, so each SIMD tier (SONG_SIMD) computes the same distances and
-// the digests hold under all of them.
-Dataset MakeData(Coords coords, Metric metric, size_t n, uint64_t seed) {
-  RandomEngine rng(seed);
-  const size_t dim = coords == Coords::kTies ? 6 : 16;
-  std::vector<float> centers(8 * dim);
-  for (float& c : centers) c = static_cast<float>(rng.NextGaussian() * 3.0);
-  Dataset data(n, dim);
-  std::vector<float> row(dim);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t c = rng.NextUint(8);
-    for (size_t d = 0; d < dim; ++d) {
-      row[d] = coords == Coords::kTies
-                   ? static_cast<float>(rng.NextUint(4))
-                   : std::round(8.0f * (centers[c * dim + d] +
-                                        static_cast<float>(
-                                            rng.NextGaussian()))) /
-                         8.0f;
-    }
-    // Cosine is undefined on a zero row; keep every row off the origin.
-    if (metric == Metric::kCosine) row[0] += 1.0f;
-    data.SetRow(static_cast<idx_t>(i), row.data());
-  }
-  return data;
-}
+using harness::Coords;
+using harness::MakeExactData;
 
 class Fnv1a {
  public:
@@ -118,7 +89,7 @@ const Case kCases[] = {
 
 TEST(BuildDigest, OneThreadNswBuildsAreByteIdentical) {
   for (const Case& c : kCases) {
-    const Dataset data = MakeData(c.coords, c.metric, 600, 0x5EED1);
+    const Dataset data = MakeExactData(c.coords, c.metric, 600, 0x5EED1);
     NswBuildOptions options;
     options.degree = 12;
     options.ef_construction = 40;
@@ -131,7 +102,7 @@ TEST(BuildDigest, OneThreadNswBuildsAreByteIdentical) {
 
 TEST(BuildDigest, OneThreadNsgBuildsAreByteIdentical) {
   for (const Case& c : kCases) {
-    const Dataset data = MakeData(c.coords, c.metric, 400, 0x5EED2);
+    const Dataset data = MakeExactData(c.coords, c.metric, 400, 0x5EED2);
     NsgBuildOptions options;
     options.degree = 12;
     options.search_l = 32;
@@ -147,8 +118,8 @@ TEST(BuildDigest, OneThreadNsgBuildsAreByteIdentical) {
 
 TEST(BuildDigest, OneThreadHnswBuildsAndQueriesAreByteIdentical) {
   for (const Case& c : kCases) {
-    const Dataset data = MakeData(c.coords, c.metric, 600, 0x5EED3);
-    const Dataset queries = MakeData(c.coords, c.metric, 6, 0x5EED4);
+    const Dataset data = MakeExactData(c.coords, c.metric, 600, 0x5EED3);
+    const Dataset queries = MakeExactData(c.coords, c.metric, 6, 0x5EED4);
     HnswBuildOptions options;
     options.m = 6;
     options.ef_construction = 40;
@@ -169,7 +140,7 @@ TEST(BuildDigest, OneThreadHnswBuildsAndQueriesAreByteIdentical) {
 
 TEST(BuildDigest, OnlineInsertLinksAreByteIdentical) {
   for (const Case& c : kCases) {
-    const Dataset data = MakeData(c.coords, c.metric, 360, 0x5EED5);
+    const Dataset data = MakeExactData(c.coords, c.metric, 360, 0x5EED5);
     const size_t adopted = 300;
     Dataset head(adopted, data.dim());
     for (idx_t v = 0; v < adopted; ++v) head.SetRow(v, data.Row(v));

@@ -285,9 +285,7 @@ DifferentialReport FuzzExactVisitedVsOracle(VisitedStructure structure,
     const size_t capacity =
         tight ? 8 + rng.NextUint(150) : 256 + rng.NextUint(512);
     const size_t key_range = std::max<size_t>(4, capacity * 3);
-    table.Reset(structure, structure == VisitedStructure::kEpochArray
-                               ? key_range
-                               : capacity);
+    table.Reset(structure, capacity, /*num_ids=*/key_range);
     // The epoch array is unbounded over [0, key_range); the hash table
     // saturates exactly at its element capacity.
     OracleVisitedSet oracle(
@@ -712,9 +710,14 @@ FuzzInstance MakeInstance(RandomEngine& rng, VisitedStructure structure) {
   const size_t steps[4] = {1, 1, 2, 4};
   inst.options.multi_step_probe = steps[rng.NextUint(4)];
   if (structure == VisitedStructure::kHashTable) {
-    // Alternate the paper's auto-sized (possibly saturating) capacity with
-    // an ample one; the oracle models both exactly.
-    inst.options.hash_capacity = rng.NextUint(2) == 0 ? 0 : n + 1;
+    // Mix the paper's auto-sized capacity, an ample one and a tight one
+    // that saturates within a few rounds; the oracle models all exactly.
+    const size_t pick = rng.NextUint(3);
+    inst.options.hash_capacity =
+        pick == 0 ? 0
+        : pick == 1
+            ? n + 1
+            : 1 + rng.NextUint(2 * inst.options.queue_size + 8);
   } else if (structure == VisitedStructure::kBloomFilter) {
     inst.options.bloom_bits =
         rng.NextUint(2) == 0 ? 0 : (1024u << rng.NextUint(4));

@@ -81,9 +81,10 @@ DifferentialReport FuzzBloomVsOracle(uint64_t seed, size_t rounds);
 
 /// Runs SongSearchCore on randomized datasets/graphs/options (random dim,
 /// degree, n, k, queue_size, metric, selected_insertion, visited_deletion,
-/// multi_step, ample and auto hash capacities) against the oracle-backed
-/// reference search. For exact structures the visit order, iteration count
-/// and final neighbors must match element-for-element. Three in four
+/// multi_step, ample, auto and tight (saturating) hash capacities) against
+/// the oracle-backed reference search. For exact structures the visit
+/// order, iteration count, insert failures and final neighbors must match
+/// element-for-element. Three in four
 /// kEpochArray rounds drop §IV-D/E and so run the CandidatePool frontier,
 /// whose iteration count must equal the reference's expansion rounds.
 DifferentialReport FuzzSearchDifferential(VisitedStructure structure,

@@ -1,6 +1,6 @@
 // Harness self-test: proves the differential harness actually has teeth by
-// planting two known bugs behind the test-only hooks in
-// src/song/debug_hooks.h and asserting the oracle comparison catches both —
+// planting known bugs behind the test-only hooks in
+// src/song/debug_hooks.h and asserting the oracle comparison catches each —
 // then asserting the very same runners pass clean once the fault is lifted.
 // A fuzz harness that cannot detect a planted off-by-one is worse than none:
 // it would launder broken structures as "verified".
@@ -136,17 +136,30 @@ TEST(HarnessSelfTest, DetectsPlantedDroppedReverseLinks) {
   EXPECT_EQ(clean.failures, 0u) << clean.first_divergence;
 }
 
-TEST(HarnessSelfTest, DetectsPlantedHashSetDroppedGrowth) {
+TEST(HarnessSelfTest, DetectsPlantedHashTableIgnoredCapacity) {
+  // The planted mutation lets the search's kHashTable visited set
+  // (CappedEpochSet) keep accepting ids past its element capacity. The
+  // structure fuzz's tight rounds must see inserts the capacity-modelled
+  // oracle refuses, and the search differential's auto-sized (saturating)
+  // rounds must visit vertices the reference's saturated table skipped.
   {
-    hooks::ScopedFault fault(&hooks::hash_set_skip_growth);
-    const DifferentialReport broken = FuzzExactVisitedVsOracle(
+    hooks::ScopedFault fault(&hooks::hash_table_ignore_capacity);
+    const DifferentialReport structure = FuzzExactVisitedVsOracle(
         VisitedStructure::kHashTable, BaseSeed(), kRounds);
-    EXPECT_GT(broken.failures, 0u)
-        << "harness failed to detect the planted dropped hash-set resize";
+    EXPECT_GT(structure.failures, 0u)
+        << "structure fuzz failed to detect the ignored hash-table capacity";
+    const DifferentialReport search = FuzzSearchDifferential(
+        VisitedStructure::kHashTable, BaseSeed(), kRounds);
+    EXPECT_GT(search.failures, 0u)
+        << "search differential failed to detect the ignored hash-table "
+           "capacity";
   }
-  const DifferentialReport clean = FuzzExactVisitedVsOracle(
+  const DifferentialReport structure = FuzzExactVisitedVsOracle(
       VisitedStructure::kHashTable, BaseSeed(), kRounds);
-  EXPECT_EQ(clean.failures, 0u) << clean.first_divergence;
+  EXPECT_EQ(structure.failures, 0u) << structure.first_divergence;
+  const DifferentialReport search =
+      FuzzSearchDifferential(VisitedStructure::kHashTable, BaseSeed(), kRounds);
+  EXPECT_EQ(search.failures, 0u) << search.first_divergence;
 }
 
 TEST(HarnessSelfTest, DroppedGrowthAlsoSurfacesInSaturationFuzz) {

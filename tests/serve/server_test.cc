@@ -407,6 +407,45 @@ TEST(ServeServer, InvalidRequestsSettleAsTypedErrors) {
   ExpectConservation(server);
 }
 
+TEST(ServeServer, OversizedEfIsTheSearchersInvalidArgument) {
+  // An ef past SongSearcher::kMaxQueueSize can never fit, so the wire must
+  // say kInvalidArgument (a caller bug), never a retryable shed code, and
+  // carry exactly what a direct checked search reports.
+  const ServeFixture& fx = ServeFixture::Get();
+  const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  ServerOptions options;
+  options.num_workers = 1;
+  obs::MetricsRegistry registry;
+  SongServer server(&searcher, options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  const uint32_t huge_ef =
+      static_cast<uint32_t>(SongSearcher::kMaxQueueSize + 1);
+  SongSearchOptions direct_options = options.base_options;
+  direct_options.queue_size = huge_ef;
+  SongWorkspace workspace;
+  const auto direct = searcher.TrySearch(QueryRow(0).data(), 5,
+                                         direct_options, &workspace);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.SendSearch(1, QueryRow(0), /*k=*/5, huge_ef).ok());
+  const auto response = client.ReadResponse();
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().status_code,
+            static_cast<int32_t>(direct.status().code()));
+  EXPECT_EQ(response.value().message, direct.status().message());
+  EXPECT_TRUE(response.value().results.empty());
+
+  ASSERT_TRUE(server.Drain().ok());
+  const ServeCounterSnapshot c = server.counters();
+  EXPECT_EQ(c.accepted, 1u);
+  EXPECT_EQ(c.error, 1u);
+  EXPECT_EQ(c.shed, 0u);
+  ExpectConservation(server);
+}
+
 TEST(ServeServer, HostileStreamClosesConnectionWithoutCrashing) {
   const ServeFixture& fx = ServeFixture::Get();
   const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);

@@ -65,10 +65,12 @@ TEST(BatchAdmission, BadKAndOversizedQueueRefused) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // An ef past the limit can never fit: a caller bug, not a retryable
+  // shed.
   SongSearchOptions huge;
   huge.queue_size = SongSearcher::kMaxQueueSize + 1;
   EXPECT_EQ(engine.TrySearch(fx.queries, 10, huge).status().code(),
-            StatusCode::kResourceExhausted);
+            StatusCode::kInvalidArgument);
 }
 
 // The engine runs SongSearcher's own shape check, so a batch is refused
@@ -182,15 +184,17 @@ TEST(BoundedStructures, TryResetRejectsAbsurdCapacities) {
             StatusCode::kResourceExhausted);
 
   VisitedTable table;
-  EXPECT_TRUE(table.TryReset(VisitedStructure::kHashTable, 4096).ok());
+  EXPECT_TRUE(
+      table.TryReset(VisitedStructure::kHashTable, 4096, /*num_ids=*/4096)
+          .ok());
   EXPECT_EQ(table
                 .TryReset(VisitedStructure::kHashTable,
-                          OpenAddressingSet::kMaxCapacity + 1)
+                          VisitedTable::kMaxCapacity + 1, /*num_ids=*/4096)
                 .code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(table
                 .TryReset(VisitedStructure::kBloomFilter, 128,
-                          /*bloom_bits=*/~size_t{0})
+                          /*num_ids=*/4096, /*bloom_bits=*/~size_t{0})
                 .code(),
             StatusCode::kResourceExhausted);
 }

@@ -1,0 +1,181 @@
+// Golden digests of the GPU-priced search presets. Every SMMH-frontier
+// configuration (hashtable, +selected insertion, +visited deletion, Bloom,
+// Cuckoo, a saturating hash-table capacity) and the CPU preset must keep
+// returning exactly these ids and distance bits and counting exactly these
+// SearchStats: a faster visited structure or frontier may not move one
+// result or one counter, since the GPU cost model and every figure price
+// the counters. The metrics are L2, inner product and cosine over the
+// exact-in-float datasets of harness/exact_data.h, so the digests hold
+// under every SIMD tier (SONG_SIMD). One workspace serves every preset in
+// turn, as a serving thread's would.
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/dataset.h"
+#include "core/distance.h"
+#include "graph/fixed_degree_graph.h"
+#include "graph/nsw_builder.h"
+#include "gtest/gtest.h"
+#include "harness/exact_data.h"
+#include "obs/request_timeline.h"
+#include "song/search_options.h"
+#include "song/song_searcher.h"
+
+namespace song {
+namespace {
+
+using harness::Coords;
+using harness::MakeExactData;
+
+struct Preset {
+  const char* name;
+  SongSearchOptions options;
+};
+
+// hash_capacity 48 without deletion, and 40 with it, saturate at ef 32 on
+// these graphs (the test asserts visited_insert_failures > 0), so the
+// refused-insert path is pinned as well.
+std::vector<Preset> Presets() {
+  SongSearchOptions saturated = SongSearchOptions::HashTable();
+  saturated.hash_capacity = 48;
+  SongSearchOptions saturated_del = SongSearchOptions::HashTableSelDel();
+  saturated_del.hash_capacity = 40;
+  return {{"hashtable", SongSearchOptions::HashTable()},
+          {"sel", SongSearchOptions::HashTableSel()},
+          {"seldel", SongSearchOptions::HashTableSelDel()},
+          {"bloom", SongSearchOptions::Bloom()},
+          {"cuckoo", SongSearchOptions::Cuckoo()},
+          {"hashtable-cap48", saturated},
+          {"seldel-cap40", saturated_del},
+          {"cpu", SongSearchOptions::CpuEngineered()}};
+}
+constexpr size_t kNumPresets = 8;
+
+uint64_t Mix(uint64_t h, const SearchStats& s) {
+  const size_t fields[] = {s.iterations,
+                           s.vertices_expanded,
+                           s.graph_rows_loaded,
+                           s.graph_bytes_loaded,
+                           s.q_pops,
+                           s.distance_computations,
+                           s.data_bytes_loaded,
+                           s.adc_tables_built,
+                           s.adc_table_build_ns,
+                           s.rerank_candidates,
+                           s.rerank_bytes_loaded,
+                           s.q_pushes,
+                           s.q_evictions,
+                           s.q_rejections,
+                           s.topk_pushes,
+                           s.topk_evictions,
+                           s.visited_tests,
+                           s.visited_insertions,
+                           s.visited_deletions,
+                           s.visited_insert_failures,
+                           s.selected_insertion_skips,
+                           s.budget_terminations,
+                           s.visited_capacity_bytes,
+                           s.peak_visited_size,
+                           s.queue_bytes};
+  for (const size_t f : fields) h = obs::Fnv1aMix(h, f);
+  return h;
+}
+
+std::string Hex(uint64_t h) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+  return buf;
+}
+
+struct Case {
+  Coords coords;
+  Metric metric;
+  const char* digests[kNumPresets];  ///< in Presets() order
+};
+
+std::string Name(const Case& c) {
+  return std::string(c.coords == Coords::kTies ? "ties/" : "gauss/") +
+         MetricName(c.metric);
+}
+
+const Case kCases[] = {
+    {Coords::kTies,
+     Metric::kL2,
+     {"2503a96b8db3d0cf", "645d28d87f10351c", "7fca8ab3dddefa0a",
+      "7e13a74a5c235c8c", "504da0576fdaf3fa", "a0a89d1e6abdd37d",
+      "d7e727ec36dc28d7", "673032c6985be105"}},
+    {Coords::kTies,
+     Metric::kInnerProduct,
+     {"bd8b9d30641d2bd0", "6a1ad2e1b8da3800", "b3bbe3731432bae8",
+      "3141dabbd0dc6150", "00d84ed0be89b5e4", "71cc98104ac1cf1b",
+      "4a3e6a2ed1cdecb4", "70fa1c78dea039a0"}},
+    {Coords::kTies,
+     Metric::kCosine,
+     {"05dc93f057db1b80", "0a3bb0bd3d3cd4b6", "c2f6eb7f5e636149",
+      "ab34781954e1ec1e", "191eb08e11c9dc02", "88ee5019cb4f495b",
+      "f452cb379038d9cf", "a0582b12d7a627d3"}},
+    {Coords::kGauss,
+     Metric::kL2,
+     {"91e19eb8fc1bc05e", "b0bb1522c468ba82", "54a1e0364da46b3a",
+      "c4212b05102b9882", "8f730a1245a50eae", "8d15b327f725d9d3",
+      "840cba90e0209246", "67c19778a382be62"}},
+    {Coords::kGauss,
+     Metric::kInnerProduct,
+     {"d41b9bcf8f449a83", "83bac1e4b7cc8b6e", "a0d93b94b4985cac",
+      "7522b37536bfe2be", "597ae586e453b16c", "5af8a8b980661e69",
+      "cee303f8ffef2103", "91ff5be1057b92d7"}},
+    {Coords::kGauss,
+     Metric::kCosine,
+     {"4ffceedf0fadfecd", "240abbaaef57f763", "6f09159d867ad08b",
+      "bd9cbbf773f5a3b3", "1bd905e1c84235db", "ad95d7684c31dd54",
+      "d0ad44db3f9b1eaa", "dfcad40c2d9822cd"}},
+};
+
+TEST(PresetDigest, SearchResultsAndCountersAreByteIdentical) {
+  const std::vector<Preset> presets = Presets();
+  ASSERT_EQ(presets.size(), kNumPresets);
+  SongWorkspace workspace;
+  for (const Case& c : kCases) {
+    const Dataset data = MakeExactData(c.coords, c.metric, 600, 0xD16E1);
+    const Dataset queries = MakeExactData(c.coords, c.metric, 24, 0xD16E2);
+    NswBuildOptions build;
+    build.degree = 12;
+    build.ef_construction = 40;
+    build.num_threads = 1;
+    const FixedDegreeGraph graph = NswBuilder::Build(data, c.metric, build);
+    const SongSearcher searcher(&data, &graph, c.metric);
+    for (size_t p = 0; p < kNumPresets; ++p) {
+      SongSearchOptions options = presets[p].options;
+      options.queue_size = 32;
+      uint64_t h = obs::kFnv1aOffset;
+      size_t insert_failures = 0;
+      for (idx_t q = 0; q < queries.num(); ++q) {
+        SearchStats stats;
+        const std::vector<Neighbor> result =
+            searcher.Search(queries.Row(q), 10, options, &workspace, &stats);
+        h = obs::Fnv1aMix(h, result.size());
+        for (const Neighbor& nb : result) {
+          uint32_t bits = 0;
+          std::memcpy(&bits, &nb.dist, sizeof(bits));
+          h = obs::Fnv1aMix(h, nb.id);
+          h = obs::Fnv1aMix(h, bits);
+        }
+        h = Mix(h, stats);
+        insert_failures += stats.visited_insert_failures;
+      }
+      if (options.hash_capacity != 0) {
+        EXPECT_GT(insert_failures, 0u)
+            << Name(c) << "/" << presets[p].name << " never saturated";
+      }
+      EXPECT_EQ(Hex(h), c.digests[p]) << Name(c) << "/" << presets[p].name;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace song

@@ -244,7 +244,7 @@ class VisitedTableTest : public ::testing::TestWithParam<VisitedStructure> {};
 
 TEST_P(VisitedTableTest, BasicProtocol) {
   VisitedTable table;
-  table.Reset(GetParam(), 256);
+  table.Reset(GetParam(), 256, /*num_ids=*/256);
   EXPECT_FALSE(table.Test(3));
   table.Insert(3);
   EXPECT_TRUE(table.Test(3));
@@ -254,7 +254,7 @@ TEST_P(VisitedTableTest, BasicProtocol) {
 
 TEST_P(VisitedTableTest, NoFalseNegatives) {
   VisitedTable table;
-  table.Reset(GetParam(), 512);
+  table.Reset(GetParam(), 512, /*num_ids=*/400 * 31 + 8);
   for (idx_t k = 0; k < 400; ++k) table.Insert(k * 31 + 7);
   for (idx_t k = 0; k < 400; ++k) EXPECT_TRUE(table.Test(k * 31 + 7));
 }
@@ -270,18 +270,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(VisitedTable, DeletionSupportMatrix) {
   VisitedTable table;
-  table.Reset(VisitedStructure::kHashTable, 16);
+  table.Reset(VisitedStructure::kHashTable, 16, /*num_ids=*/16);
   EXPECT_TRUE(table.SupportsDeletion());
-  table.Reset(VisitedStructure::kCuckooFilter, 16);
+  table.Reset(VisitedStructure::kCuckooFilter, 16, /*num_ids=*/16);
   EXPECT_TRUE(table.SupportsDeletion());
-  table.Reset(VisitedStructure::kBloomFilter, 16);
+  table.Reset(VisitedStructure::kBloomFilter, 16, /*num_ids=*/16);
   EXPECT_FALSE(table.SupportsDeletion());
+}
+
+TEST(VisitedTable, HashTableReportsTheProbingTablesBytes) {
+  // The host runs the hash table on the stamp array, but the footprint the
+  // cost model prices stays the GPU table's slot array.
+  VisitedTable table;
+  for (size_t capacity : {0, 1, 7, 8, 9, 100, 112, 2560, 5000}) {
+    table.Reset(VisitedStructure::kHashTable, capacity, /*num_ids=*/10000);
+    EXPECT_EQ(table.MemoryBytes(), OpenAddressingSet(capacity).MemoryBytes())
+        << capacity;
+  }
 }
 
 TEST(VisitedTable, BloomIsSmallest) {
   VisitedTable hash, bloom;
-  hash.Reset(VisitedStructure::kHashTable, 1024);
-  bloom.Reset(VisitedStructure::kBloomFilter, 1024);
+  hash.Reset(VisitedStructure::kHashTable, 1024, /*num_ids=*/1024);
+  bloom.Reset(VisitedStructure::kBloomFilter, 1024, /*num_ids=*/1024);
   // Paper: "the Bloom filter method takes at least 3x less memory".
   EXPECT_LE(bloom.MemoryBytes() * 3, hash.MemoryBytes());
 }
