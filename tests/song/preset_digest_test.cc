@@ -1,10 +1,11 @@
-// Golden digests of the GPU-priced search presets. Every SMMH-frontier
+// Golden digests of the GPU-priced search presets. Every SONG-frontier
 // configuration (hashtable, +selected insertion, +visited deletion, Bloom,
-// Cuckoo, a saturating hash-table capacity) and the CPU preset must keep
-// returning exactly these ids and distance bits and counting exactly these
-// SearchStats: a faster visited structure or frontier may not move one
-// result or one counter, since the GPU cost model and every figure price
-// the counters. The metrics are L2, inner product and cosine over the
+// Cuckoo, a saturating hash-table capacity, multi-step probing at 2 and 4
+// pops per round, the §IV-D/E rules over the epoch array) and the CPU
+// preset must keep returning exactly these ids and distance bits and
+// counting exactly these SearchStats: a faster visited structure or
+// frontier may not move one result or one counter, since the GPU cost model
+// and every figure price the counters. The metrics are L2, inner product and cosine over the
 // exact-in-float datasets of harness/exact_data.h, so the digests hold
 // under every SIMD tier (SONG_SIMD). One workspace serves every preset in
 // turn, as a serving thread's would.
@@ -45,6 +46,15 @@ std::vector<Preset> Presets() {
   saturated.hash_capacity = 48;
   SongSearchOptions saturated_del = SongSearchOptions::HashTableSelDel();
   saturated_del.hash_capacity = 40;
+  // Multi-step probing (§V, Fig 9) pops 2 or 4 vertices per round, so one
+  // Stage 3 batch interleaves several expansions' neighbours.
+  const auto multi_step = [](SongSearchOptions o, size_t steps) {
+    o.multi_step_probe = steps;
+    return o;
+  };
+  // The §IV-D/E rules over the unbounded epoch array.
+  SongSearchOptions epoch_seldel = SongSearchOptions::HashTableSelDel();
+  epoch_seldel.structure = VisitedStructure::kEpochArray;
   return {{"hashtable", SongSearchOptions::HashTable()},
           {"sel", SongSearchOptions::HashTableSel()},
           {"seldel", SongSearchOptions::HashTableSelDel()},
@@ -52,9 +62,14 @@ std::vector<Preset> Presets() {
           {"cuckoo", SongSearchOptions::Cuckoo()},
           {"hashtable-cap48", saturated},
           {"seldel-cap40", saturated_del},
-          {"cpu", SongSearchOptions::CpuEngineered()}};
+          {"cpu", SongSearchOptions::CpuEngineered()},
+          {"seldel-ms2", multi_step(SongSearchOptions::HashTableSelDel(), 2)},
+          {"seldel-ms4", multi_step(SongSearchOptions::HashTableSelDel(), 4)},
+          {"cuckoo-ms2", multi_step(SongSearchOptions::Cuckoo(), 2)},
+          {"cuckoo-ms4", multi_step(SongSearchOptions::Cuckoo(), 4)},
+          {"epoch-seldel", epoch_seldel}};
 }
-constexpr size_t kNumPresets = 8;
+constexpr size_t kNumPresets = 13;
 
 uint64_t Mix(uint64_t h, const SearchStats& s) {
   const size_t fields[] = {s.iterations,
@@ -108,32 +123,44 @@ const Case kCases[] = {
      Metric::kL2,
      {"2503a96b8db3d0cf", "645d28d87f10351c", "7fca8ab3dddefa0a",
       "7e13a74a5c235c8c", "504da0576fdaf3fa", "a0a89d1e6abdd37d",
-      "d7e727ec36dc28d7", "673032c6985be105"}},
+      "d7e727ec36dc28d7", "673032c6985be105", "f8bb0beaf7b1d028",
+      "78bb696998d085ca", "4d11654e7a0e8b10", "e5e43595ce56fec6",
+      "6c0fa90a56c8a47e"}},
     {Coords::kTies,
      Metric::kInnerProduct,
      {"bd8b9d30641d2bd0", "6a1ad2e1b8da3800", "b3bbe3731432bae8",
       "3141dabbd0dc6150", "00d84ed0be89b5e4", "71cc98104ac1cf1b",
-      "4a3e6a2ed1cdecb4", "70fa1c78dea039a0"}},
+      "4a3e6a2ed1cdecb4", "70fa1c78dea039a0", "412e060eb9bd9ecd",
+      "526b3f9e4d8aa7b4", "a3993405a24d7d3d", "b36d0bd6561c5e44",
+      "e0df44ebc9a75020"}},
     {Coords::kTies,
      Metric::kCosine,
      {"05dc93f057db1b80", "0a3bb0bd3d3cd4b6", "c2f6eb7f5e636149",
       "ab34781954e1ec1e", "191eb08e11c9dc02", "88ee5019cb4f495b",
-      "f452cb379038d9cf", "a0582b12d7a627d3"}},
+      "f452cb379038d9cf", "a0582b12d7a627d3", "d9ec3ef630f942d8",
+      "041fee8fbc3e8ddf", "ab8878fe30286881", "3bd120e4fe02c47b",
+      "15edda24ee42a701"}},
     {Coords::kGauss,
      Metric::kL2,
      {"91e19eb8fc1bc05e", "b0bb1522c468ba82", "54a1e0364da46b3a",
       "c4212b05102b9882", "8f730a1245a50eae", "8d15b327f725d9d3",
-      "840cba90e0209246", "67c19778a382be62"}},
+      "840cba90e0209246", "67c19778a382be62", "484d3aebd9bdb029",
+      "d8a80d1eb896b2e5", "04d29616702e28f1", "d2f831ecc7ede5c1",
+      "c3ae6ad6910d8bd2"}},
     {Coords::kGauss,
      Metric::kInnerProduct,
      {"d41b9bcf8f449a83", "83bac1e4b7cc8b6e", "a0d93b94b4985cac",
       "7522b37536bfe2be", "597ae586e453b16c", "5af8a8b980661e69",
-      "cee303f8ffef2103", "91ff5be1057b92d7"}},
+      "cee303f8ffef2103", "91ff5be1057b92d7", "4a8852152da512db",
+      "e41bb8e98a87ebd2", "72f756cef28f6b43", "c42bf61884039b62",
+      "35fa27d9854d9398"}},
     {Coords::kGauss,
      Metric::kCosine,
      {"4ffceedf0fadfecd", "240abbaaef57f763", "6f09159d867ad08b",
       "bd9cbbf773f5a3b3", "1bd905e1c84235db", "ad95d7684c31dd54",
-      "d0ad44db3f9b1eaa", "dfcad40c2d9822cd"}},
+      "d0ad44db3f9b1eaa", "dfcad40c2d9822cd", "f0ea6191e6fb136a",
+      "7b3f6e65aad867eb", "f5c0860af4c3878e", "47ea821d7548be8f",
+      "d63a09e5d74daf27"}},
 };
 
 TEST(PresetDigest, SearchResultsAndCountersAreByteIdentical) {
