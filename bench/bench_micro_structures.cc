@@ -1,13 +1,12 @@
 // Micro ablations (google-benchmark) for the data-structure choices
 // DESIGN.md calls out:
-//  * bounded symmetric min-max heap vs std::priority_queue rebuild — the
-//    §IV-C design choice — and the CPU preset's sorted CandidatePool;
+//  * SONG's bounded queue and top-K (§IV-C) as the two partitions of one
+//    sorted pool — the GPU-priced presets' frontier — and the CPU preset's
+//    CandidatePool, against an unbounded std::priority_queue;
 //  * the CandidatePool vs hnswlib's two heaps on a recorded best-first op
 //    stream (expansions interleaved with admissions, as a search issues
 //    them);
-//  * open-addressing hash set vs Bloom vs Cuckoo filter ops — the §IV-B/E
-//    alternatives;
-//  * probe cost as the open-addressing table fills.
+//  * Bloom vs Cuckoo filter ops — the §IV-B/E probabilistic alternatives.
 //
 // Before the google-benchmark suite runs, main() executes a structure sweep
 // (best-of-reps, mirroring bench_micro_distance.cc) and, with
@@ -37,9 +36,7 @@
 #include "graph/nsw_builder.h"
 #include "obs/exporters.h"
 #include "song/bloom_filter.h"
-#include "song/bounded_heap.h"
 #include "song/cuckoo_filter.h"
-#include "song/open_addressing_set.h"
 
 namespace song {
 namespace {
@@ -53,27 +50,38 @@ std::vector<Neighbor> MakeStream(size_t n, uint32_t seed) {
   return stream;
 }
 
-// Bounded DEPQ via symmetric min-max heap (what SONG uses).
-void BM_SmmhBoundedStream(benchmark::State& state) {
-  const size_t capacity = static_cast<size_t>(state.range(0));
-  const auto stream = MakeStream(4096, 42);
-  SymmetricMinMaxHeap heap(capacity);
-  for (auto _ : state) {
-    heap.Clear();
-    for (const Neighbor& n : stream) {
-      heap.PushBounded(n);
-      if (heap.size() > capacity / 2 && (n.id & 7) == 0) {
-        benchmark::DoNotOptimize(heap.PopMin());
-      }
+// SONG's bounded queue q and top-K as the unexpanded and expanded
+// partitions of one sorted pool (the GPU-priced presets' frontier): every
+// candidate is a q.PushBounded, and a pop moves the queue minimum into
+// topk (or ends the search, leaving the pool as it is).
+void SongPartitionsStreamPass(PartitionedCandidatePool& pool,
+                              const std::vector<Neighbor>& stream) {
+  pool.Reset(pool.capacity());
+  idx_t evicted = 0;
+  Neighbor now;
+  for (const Neighbor& n : stream) {
+    pool.PushUnexpanded(n, &evicted);
+    if (pool.unexpanded() > pool.capacity() / 2 && (n.id & 7) == 0) {
+      benchmark::DoNotOptimize(pool.ExpandBounded(&now, &evicted));
     }
-    benchmark::DoNotOptimize(heap.size());
   }
+  benchmark::DoNotOptimize(pool.size() + evicted);
+}
+
+void BM_SongPartitionsBoundedStream(benchmark::State& state) {
+  const auto stream = MakeStream(4096, 42);
+  PartitionedCandidatePool pool(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) SongPartitionsStreamPass(pool, stream);
   state.SetItemsProcessed(state.iterations() * stream.size());
 }
-BENCHMARK(BM_SmmhBoundedStream)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SongPartitionsBoundedStream)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
 
 // The CPU preset's frontier: one sorted pool whose cursor expansion stands
-// in for the SMMH's pop-min (expanded entries stay, as top-K results).
+// in for the queue's pop-min (expanded entries stay, as top-K results).
 void CandidatePoolStreamPass(CandidatePool& pool,
                              const std::vector<Neighbor>& stream) {
   pool.Reset(pool.capacity());
@@ -262,20 +270,6 @@ void BM_StdPriorityQueueStream(benchmark::State& state) {
 }
 BENCHMARK(BM_StdPriorityQueueStream)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_OpenAddressingInsertContains(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  OpenAddressingSet set(n);
-  for (auto _ : state) {
-    set.Clear();
-    for (idx_t i = 0; i < n; ++i) set.Insert(i * 2654435761u);
-    size_t hits = 0;
-    for (idx_t i = 0; i < n; ++i) hits += set.Contains(i * 2654435761u);
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() * n * 2);
-}
-BENCHMARK(BM_OpenAddressingInsertContains)->Arg(128)->Arg(1024)->Arg(8192);
-
 void BM_BloomInsertContains(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   BloomFilter bloom(10 * n);
@@ -384,18 +378,10 @@ void RunStructureSweep() {
   const auto stream = MakeStream(4096, 42);
   for (const size_t capacity : {size_t{16}, size_t{64}, size_t{256},
                                 size_t{1024}}) {
-    SymmetricMinMaxHeap heap(capacity);
-    emit("smmh_bounded_stream", capacity,
-         TimeCell(reps, stream.size(), [&] {
-           heap.Clear();
-           for (const Neighbor& n : stream) {
-             heap.PushBounded(n);
-             if (heap.size() > capacity / 2 && (n.id & 7) == 0) {
-               benchmark::DoNotOptimize(heap.PopMin());
-             }
-           }
-           benchmark::DoNotOptimize(heap.size());
-         }));
+    PartitionedCandidatePool partitions(capacity);
+    emit("song_partitions_bounded_stream", capacity,
+         TimeCell(reps, stream.size(),
+                  [&] { SongPartitionsStreamPass(partitions, stream); }));
     emit("std_priority_queue_stream", capacity,
          TimeCell(reps, stream.size(), [&] {
            std::priority_queue<Neighbor, std::vector<Neighbor>,
@@ -434,14 +420,6 @@ void RunStructureSweep() {
   }
 
   for (const size_t n : {size_t{128}, size_t{1024}, size_t{8192}}) {
-    OpenAddressingSet set(n);
-    emit("open_addressing_insert_contains", n, TimeCell(reps, 2 * n, [&] {
-           set.Clear();
-           for (idx_t i = 0; i < n; ++i) set.Insert(i * 2654435761u);
-           size_t hits = 0;
-           for (idx_t i = 0; i < n; ++i) hits += set.Contains(i * 2654435761u);
-           benchmark::DoNotOptimize(hits);
-         }));
     BloomFilter bloom(10 * n);
     emit("bloom_insert_contains", n, TimeCell(reps, 2 * n, [&] {
            bloom.Clear();

@@ -14,7 +14,7 @@
 // rank kernel of the active SIMD tier (core/distance_kernels.h), so every
 // tier lands every entry in the same slot.
 //
-// Two rules decide what a full pool admits and what it keeps past its
+// Three rules decide what a full pool admits and what it keeps past its
 // capacity; each is a compile-time parameter (docs/algorithms.md gives the
 // equivalence arguments):
 //
@@ -38,6 +38,16 @@
 //    can never be expanded again, so only the unexpanded boundary ties are
 //    kept past the capacity, however many there are. Seed() admits the
 //    search's entry points unconditionally, as the heaps would.
+//
+//  - FrontierRule::kSongPartitions, the frontier of every GPU-priced SONG
+//    preset (song/search_core.h): SONG's bounded queue `q` and its top-K
+//    (§IV-C) as the two partitions of the array. The unexpanded entries are
+//    `q` and the expanded ones are `topk`, each bounded at `capacity`, and
+//    every heap operation maps onto one partition: PushUnexpanded is
+//    q.PushBounded, ExpandBounded is q.PopMin into topk.PushBounded with
+//    Algorithm 1's strict termination. Both heaps order by (dist, id), so
+//    the partitions hold exactly the heaps' contents, and every count the
+//    GPU cost model prices comes out the same.
 
 #ifndef SONG_CORE_CANDIDATE_POOL_H_
 #define SONG_CORE_CANDIDATE_POOL_H_
@@ -46,8 +56,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "core/debug_hooks.h"
 #include "core/distance_kernels.h"
 #include "core/logging.h"
 #include "core/types.h"
@@ -55,8 +67,9 @@
 namespace song {
 
 enum class FrontierRule {
-  kSongQueue,  ///< SONG's bounded q + topk (the CPU search preset)
-  kTextbook,   ///< the two-heap best-first search (BestFirstSearch)
+  kSongQueue,       ///< SONG's bounded q + topk (the CPU search preset)
+  kTextbook,        ///< the two-heap best-first search (BestFirstSearch)
+  kSongPartitions,  ///< q and topk as two partitions (GPU-priced presets)
 };
 
 template <FrontierRule kRule>
@@ -75,13 +88,15 @@ class BasicCandidatePool {
       capacity_ = capacity;
       // `capacity` best entries, `capacity` unexpanded boundary ties behind
       // them (SONG's queue bound; kTextbook grows past it when it must),
-      // and one transient slot during admission.
+      // and one transient slot during admission. kSongPartitions holds at
+      // most `capacity` entries in each partition.
       Resize(2 * capacity + 1);
     }
     size_ = 0;
     unexpanded_ = 0;
     cursor_ = 0;
     dropped_unexpanded_ = false;
+    expanded_bound_ = std::numeric_limits<float>::infinity();
   }
 
   size_t capacity() const { return capacity_; }
@@ -173,6 +188,73 @@ class BasicCandidatePool {
     for (size_t i = 0; i < n; ++i) out->emplace_back(dists_[i], ids_[i]);
   }
 
+  // ---- kSongPartitions: q = the unexpanded entries, topk = the expanded.
+
+  /// The worst expanded distance once `capacity` entries are expanded (a
+  /// full topk), else +infinity. Selected insertion (§IV-D) skips a
+  /// candidate strictly farther than this.
+  float expanded_bound() const { return expanded_bound_; }
+
+  /// q.PushBounded: admits x unexpanded while fewer than `capacity` entries
+  /// are unexpanded; otherwise x replaces the worst unexpanded entry if it
+  /// sorts before it. Returns false when x is rejected. Sets *evicted to
+  /// the replaced entry's id, or kInvalidIdx when none was replaced.
+  bool PushUnexpanded(const Neighbor& x, idx_t* evicted) {
+    static_assert(kRule == FrontierRule::kSongPartitions);
+    *evicted = kInvalidIdx;
+    if (unexpanded_ >= capacity_) {
+      const size_t w = LastWith(0);
+      if (!(x < Neighbor(dists_[w], ids_[w]))) return false;
+      // Harness self-test fault: drop the best unexpanded entry instead.
+      const size_t out = hooks::song_queue_evict_best ? cursor_ : w;
+      *evicted = ids_[out];
+      EraseAt(out);
+      --unexpanded_;
+      if (out == cursor_) SkipExpanded();
+    }
+    Place(x);
+    return true;
+  }
+
+  /// q.PopMin into topk.PushBounded; requires HasUnexpanded(). Returns
+  /// false, leaving the pool unchanged, when Algorithm 1 terminates: topk
+  /// is full and the best unexpanded entry is strictly farther than its
+  /// worst. Otherwise takes that entry into *now and marks it expanded. A
+  /// full topk then drops its worst entry (*evicted; else kInvalidIdx) —
+  /// unless `now` ties that entry's distance but sorts after it, in which
+  /// case topk rejects `now` and it leaves the pool instead.
+  bool ExpandBounded(Neighbor* now, idx_t* evicted) {
+    static_assert(kRule == FrontierRule::kSongPartitions);
+    SONG_DCHECK(HasUnexpanded());
+    const size_t i = cursor_;
+    *now = Neighbor(dists_[i], ids_[i]);
+    *evicted = kInvalidIdx;
+    if (now->dist > expanded_bound_) return false;
+    const bool topk_full = expanded() >= capacity_;
+    --unexpanded_;
+    if (topk_full) {
+      const size_t w = LastWith(1);
+      if (!(*now < Neighbor(dists_[w], ids_[w]))) {
+        EraseAt(i);
+        SkipExpanded();
+        return true;
+      }
+      *evicted = ids_[w];
+      EraseAt(w);  // w > i: `now` sorts before it
+    }
+    expanded_[i] = 1;
+    SkipExpanded();
+    if (expanded() == capacity_) expanded_bound_ = dists_[LastWith(1)];
+    return true;
+  }
+
+  /// Appends the best min(k, expanded()) expanded entries (topk), ascending.
+  void CopyExpanded(size_t k, std::vector<Neighbor>* out) const {
+    for (size_t i = 0; i < size_ && out->size() < k; ++i) {
+      if (expanded_[i] != 0) out->emplace_back(dists_[i], ids_[i]);
+    }
+  }
+
  private:
   void Resize(size_t slots) {
     dists_.resize(slots);
@@ -183,6 +265,18 @@ class BasicCandidatePool {
   /// Entry i sorts before x.
   bool Precedes(size_t i, const Neighbor& x) const {
     return dists_[i] < x.dist || (dists_[i] == x.dist && ids_[i] < x.id);
+  }
+
+  /// The last entry whose expanded flag is `flag`; one must exist.
+  size_t LastWith(uint8_t flag) const {
+    size_t i = size_ - 1;
+    while (expanded_[i] != flag) --i;
+    return i;
+  }
+
+  /// Moves the cursor forward to the first unexpanded entry at or after it.
+  void SkipExpanded() {
+    while (cursor_ < size_ && expanded_[cursor_] != 0) ++cursor_;
   }
 
   // Inserts x, unexpanded, at its rank.
@@ -253,6 +347,7 @@ class BasicCandidatePool {
   size_t unexpanded_ = 0;
   size_t cursor_ = 0;  ///< first unexpanded entry, or size_ if none
   bool dropped_unexpanded_ = false;
+  float expanded_bound_ = 0.0f;  ///< kSongPartitions: see expanded_bound()
   std::vector<float> dists_;
   std::vector<idx_t> ids_;
   std::vector<uint8_t> expanded_;
@@ -262,6 +357,10 @@ class BasicCandidatePool {
 using CandidatePool = BasicCandidatePool<FrontierRule::kSongQueue>;
 /// BestFirstSearch's frontier (graph/graph_search.h).
 using BestFirstCandidatePool = BasicCandidatePool<FrontierRule::kTextbook>;
+/// The GPU-priced SONG presets' frontier (song/search_core.h's
+/// SongFrontier).
+using PartitionedCandidatePool =
+    BasicCandidatePool<FrontierRule::kSongPartitions>;
 
 }  // namespace song
 

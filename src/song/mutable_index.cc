@@ -5,9 +5,9 @@
 #include <string>
 #include <utility>
 
+#include "core/debug_hooks.h"
 #include "core/logging.h"
 #include "graph/nsw_builder.h"
-#include "song/debug_hooks.h"
 
 namespace song {
 

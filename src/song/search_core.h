@@ -19,7 +19,6 @@
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
 #include "obs/trace.h"
-#include "song/bounded_heap.h"
 #include "song/search_options.h"
 #include "song/visited_table.h"
 
@@ -29,9 +28,8 @@ namespace song {
 /// once warmed — mirroring the kernel's fixed shared-memory layout).
 class SongWorkspace {
  public:
-  SymmetricMinMaxHeap q;  ///< SMMH frontier
-  BoundedMaxHeap topk;    ///< SMMH frontier
-  CandidatePool pool;     ///< CPU preset's frontier (UsesCandidatePool)
+  PartitionedCandidatePool queue;  ///< SongFrontier: SONG's q and topk
+  CandidatePool pool;              ///< PoolFrontier (the CPU preset)
   VisitedTable visited;
   std::vector<idx_t> candidates;
   std::vector<float> dists;
@@ -100,72 +98,66 @@ inline void AppendTraceRow(obs::SearchTrace* trace, uint32_t iteration,
 }
 
 /// True when `options` describe the CPU deployment's search: an exact dense
-/// visited array and no §IV-D/E rules. Such a search runs on the
-/// CandidatePool frontier; every other preset keeps SONG's SMMH frontier.
+/// visited array and no §IV-D/E rules. Such a search runs on PoolFrontier;
+/// every other preset runs on SongFrontier.
 inline bool UsesCandidatePool(const SongSearchOptions& options) {
   return options.structure == VisitedStructure::kEpochArray &&
          !options.selected_insertion && !options.visited_deletion;
 }
 
-/// The GPU-faithful frontier (§IV-C): the bounded symmetric min-max heap
-/// `q` plus the bounded top-K max-heap, over any visited structure, with
-/// selected insertion (§IV-D) and visited deletion (§IV-E). Vertices are
-/// marked visited in Stage 3, after their distance is known. `Visited` is
-/// resolved once per query (SongSearchCore): the exact structures run on
-/// the dispatch-free CappedEpochSet, the Bloom and Cuckoo filters through
-/// `VisitedTable&`.
+/// The GPU-faithful frontier (§IV-C): SONG's bounded queue `q` and its
+/// top-K, kept as the unexpanded and expanded partitions of one sorted
+/// PartitionedCandidatePool (each bounded at ef), over any visited
+/// structure, with selected insertion (§IV-D) and visited deletion (§IV-E).
+/// Vertices are marked visited in Stage 3, after their distance is known.
+/// `Visited` is resolved once per query (SongSearchCore): the exact
+/// structures run on the dispatch-free CappedEpochSet, the Bloom and Cuckoo
+/// filters through `VisitedTable&`.
 template <typename Visited>
-class SmmhFrontier {
+class SongFrontier {
  public:
-  SmmhFrontier(SongWorkspace* workspace, const SongSearchOptions& options,
+  SongFrontier(SongWorkspace* workspace, const SongSearchOptions& options,
                size_t ef, size_t num_points, SearchStats* local)
-      : q_(workspace->q),
-        topk_(workspace->topk),
+      : queue_(workspace->queue),
         visited_(ResetVisited(workspace->visited, options, ef, num_points)),
         selected_insertion_(options.selected_insertion),
         deletion_ok_(options.visited_deletion &&
                      options.structure != VisitedStructure::kBloomFilter) {
-    if (q_.capacity() != ef) {
-      q_.Reset(ef);
-    } else {
-      q_.Clear();
-    }
-    topk_.Reset(ef);
+    queue_.Reset(ef);
     local->visited_capacity_bytes = workspace->visited.MemoryBytes();
+    // The kernel's fixed layout: the min-max heap q (ef + 2 slots) and
+    // topk (ef).
     local->queue_bytes = (ef + 2 + ef) * sizeof(Neighbor);
   }
 
   void Start(const Neighbor& entry, SearchStats& local) {
     visited_.Insert(entry.id);
     ++local.visited_insertions;
-    q_.Push(entry);
+    idx_t evicted = kInvalidIdx;
+    queue_.PushUnexpanded(entry, &evicted);
     ++local.q_pushes;
   }
 
-  bool HasNext() const { return !q_.empty(); }
-  idx_t PeekNext() const { return q_.Min().id; }
+  bool HasNext() const { return queue_.HasUnexpanded(); }
+  idx_t PeekNext() const { return queue_.Next().id; }
 
   /// Pops the queue minimum into topk, or returns false when Algorithm 1
   /// terminates: topk is full and the minimum is strictly farther than its
   /// worst (equal-distance vertices are still expanded — this matters for
   /// coarse distances such as integer Hamming, where ties are common).
   bool PopNext(Neighbor* now, SearchStats& local) {
-    *now = q_.Min();
-    if (topk_.full() && now->dist > topk_.Max().dist) return false;
-    q_.PopMin();
-    Neighbor evicted;
-    const bool had_eviction = topk_.full();
-    const bool entered_topk = topk_.PushBounded(*now, &evicted);
+    idx_t evicted = kInvalidIdx;
+    if (!queue_.ExpandBounded(now, &evicted)) return false;
     ++local.topk_pushes;
-    if (entered_topk && had_eviction) {
+    if (evicted != kInvalidIdx) {
       ++local.topk_evictions;
       if (deletion_ok_) {
-        visited_.Erase(evicted.id);
+        visited_.Erase(evicted);
         ++local.visited_deletions;
       }
     }
     // A popped vertex that failed to enter topk is always an exact distance
-    // tie with topk.Max() (strictly worse ones terminate above). It stays
+    // tie with topk's worst (strictly worse ones terminate above). It stays
     // in `visited` — §IV-E's deletion rule only covers vertices strictly
     // worse than the whole top-K, and erasing a tie here could let two tied
     // neighbors re-enqueue each other forever.
@@ -187,10 +179,12 @@ class SmmhFrontier {
   /// Stage 3: data structure maintenance (single logical thread).
   void Admit(const idx_t* ids, const float* dists, size_t n,
              SearchStats& local) {
+    // Every scored candidate funnels through this loop; kept free of heap
+    // allocation and logging (song_lint.py rule `hot-path`).
+    // song-lint: begin-hot-path(search-core-song-admit)
     for (size_t i = 0; i < n; ++i) {
       const Neighbor cand(dists[i], ids[i]);
-      if (selected_insertion_ && topk_.full() &&
-          cand.dist > topk_.Max().dist) {
+      if (selected_insertion_ && cand.dist > queue_.expanded_bound()) {
         // §IV-D: strictly worse than every current top-K candidate — leave
         // unmarked; it may be re-computed later but will be filtered again.
         ++local.selected_insertion_skips;
@@ -205,10 +199,8 @@ class SmmhFrontier {
         continue;
       }
       ++local.visited_insertions;
-      Neighbor evicted;
-      const bool had_eviction = q_.full();
-      const bool accepted = q_.PushBounded(cand, &evicted);
-      if (!accepted) {
+      idx_t evicted = kInvalidIdx;
+      if (!queue_.PushUnexpanded(cand, &evicted)) {
         // Bounded queue rejects it (worse than everything enqueued).
         ++local.q_rejections;
         if (deletion_ok_) {
@@ -220,25 +212,27 @@ class SmmhFrontier {
         continue;
       }
       ++local.q_pushes;
-      if (had_eviction) {
+      if (evicted != kInvalidIdx) {
         ++local.q_evictions;
         if (deletion_ok_) {
-          visited_.Erase(evicted.id);
+          visited_.Erase(evicted);
           ++local.visited_deletions;
         }
       }
       local.peak_visited_size =
           std::max(local.peak_visited_size, visited_.size());
     }
+    // song-lint: end-hot-path
   }
 
-  size_t frontier_size() const { return q_.size(); }
-  size_t topk_size() const { return topk_.size(); }
+  size_t frontier_size() const { return queue_.unexpanded(); }
+  size_t topk_size() const { return queue_.expanded(); }
   size_t visited_size() const { return visited_.size(); }
 
   std::vector<Neighbor> TakeResults(size_t k, SearchStats& /*local*/) {
-    std::vector<Neighbor> result = topk_.TakeSorted();
-    if (result.size() > k) result.resize(k);
+    std::vector<Neighbor> result;
+    result.reserve(std::min(k, queue_.expanded()));
+    queue_.CopyExpanded(k, &result);
     return result;
   }
 
@@ -255,8 +249,7 @@ class SmmhFrontier {
     }
   }
 
-  SymmetricMinMaxHeap& q_;
-  BoundedMaxHeap& topk_;
+  PartitionedCandidatePool& queue_;
   Visited visited_;
   const bool selected_insertion_;
   const bool deletion_ok_;
@@ -266,8 +259,8 @@ class SmmhFrontier {
 /// of capacity ef serves as both q and topk, and Stage 1 test-and-sets the
 /// dense EpochVisitedSet directly, so a vertex is marked the moment it joins
 /// a batch and no in-batch dedupe is needed. Expands the same vertices in
-/// the same order as SmmhFrontier on the same options; only the final
-/// over-the-boundary round SmmhFrontier spends to discover termination is
+/// the same order as SongFrontier on the same options; only the final
+/// over-the-boundary round SongFrontier spends to discover termination is
 /// skipped (docs/algorithms.md).
 class PoolFrontier {
  public:
@@ -326,7 +319,7 @@ class PoolFrontier {
   size_t visited_size() const { return visited_.size(); }
 
   /// The best k scored vertices. After convergence every one is expanded,
-  /// exactly SmmhFrontier's topk; under a budget stop the pool may also
+  /// exactly SongFrontier's topk; under a budget stop the pool may also
   /// return scored vertices it had not yet expanded.
   std::vector<Neighbor> TakeResults(size_t k, SearchStats& local) {
     local.peak_visited_size = visited_.size();
@@ -498,13 +491,15 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
 /// Runs the decoupled search (candidate locating -> bulk distance ->
 /// maintenance) and returns the k closest vertices found, ascending.
 ///
-/// The frontier is a compile-time policy of the one Stage 1/2/3 loop. The
-/// CPU preset (internal::UsesCandidatePool: epoch-array visited, no §IV-D/E
-/// rules) runs on a sorted CandidatePool; every other configuration runs on
-/// SONG's SMMH queue plus top-K heap, whose visited structure is resolved
-/// here too: the exact ones on CappedEpochSet, the filters on VisitedTable.
-/// Both frontiers expand the same vertices in the same order and return the
-/// same neighbors; the pool skips the SMMH's final round that only
+/// The frontier is a compile-time policy of the one Stage 1/2/3 loop, and
+/// both frontiers are sorted candidate pools. The CPU preset
+/// (internal::UsesCandidatePool: epoch-array visited, no §IV-D/E rules)
+/// runs on PoolFrontier's CandidatePool; every other configuration runs on
+/// SongFrontier, SONG's bounded queue and top-K as the two partitions of a
+/// PartitionedCandidatePool, whose visited structure is resolved here too:
+/// the exact ones on CappedEpochSet, the filters on VisitedTable. Both
+/// frontiers expand the same vertices in the same order and return the
+/// same neighbors; PoolFrontier skips SongFrontier's final round that only
 /// discovers termination, so its `iterations` counts expansion rounds.
 ///
 /// Budgets (options.deadline_us / options.cost_budget) are checked once per
@@ -546,11 +541,11 @@ std::vector<Neighbor> SongSearchCore(const FixedDegreeGraph& graph,
         stats, trace, degraded);
   }
   if (IsExactVisited(options.structure)) {
-    return internal::RunSearch<internal::SmmhFrontier<CappedEpochSet>>(
+    return internal::RunSearch<internal::SongFrontier<CappedEpochSet>>(
         graph, entry, num_points, point_bytes, distance, k, options, workspace,
         stats, trace, degraded);
   }
-  return internal::RunSearch<internal::SmmhFrontier<VisitedTable&>>(
+  return internal::RunSearch<internal::SongFrontier<VisitedTable&>>(
       graph, entry, num_points, point_bytes, distance, k, options, workspace,
       stats, trace, degraded);
 }

@@ -170,15 +170,17 @@ struct SongSearchOptions {
 /// Warp-level work counters collected during search. Each counter maps to a
 /// concrete GPU cost in gpusim::CostModel; they also serve as the
 /// computation-vs-memory trade-off evidence for the §IV-D/E optimizations.
-/// The q_* and topk_* counters name SONG's queue and top-K heap; under the
-/// CPU preset's CandidatePool frontier the q_* counters count the pool's
-/// expansions, admissions, push-outs and refusals, and topk_* stay 0
-/// (docs/observability.md).
+/// The q_* and topk_* counters name SONG's bounded queue and top-K (§IV-C),
+/// which the GPU-priced presets keep as the unexpanded and expanded
+/// partitions of one sorted pool, so each counts its heap's operations
+/// exactly. Under the CPU preset's CandidatePool frontier the q_* counters
+/// count the pool's expansions, admissions, push-outs and refusals, and
+/// topk_* stay 0 (docs/observability.md).
 struct SearchStats {
   // Stage 1 — candidate locating.
   size_t iterations = 0;           ///< main-loop rounds (kernel iterations);
-                                   ///< the pool skips the SMMH's final
-                                   ///< terminating round
+                                   ///< the CPU preset's pool skips the
+                                   ///< final terminating round
   size_t vertices_expanded = 0;    ///< queue pops processed
   size_t graph_rows_loaded = 0;    ///< fixed-degree rows fetched
   size_t graph_bytes_loaded = 0;
@@ -211,7 +213,9 @@ struct SearchStats {
   // Memory accounting.
   size_t visited_capacity_bytes = 0;  ///< allocated visited footprint
   size_t peak_visited_size = 0;       ///< max live entries
-  size_t queue_bytes = 0;             ///< q + topk allocation
+  size_t queue_bytes = 0;             ///< q + topk, as the kernel lays
+                                      ///< them out (2 * ef + 2 entries)
+                                      ///< on the SONG frontier
 
   void Add(const SearchStats& other) {
     iterations += other.iterations;

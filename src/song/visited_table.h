@@ -17,12 +17,12 @@
 #include <cstdint>
 #include <string>
 
+#include "core/debug_hooks.h"
 #include "core/epoch_visited_set.h"
 #include "core/logging.h"
 #include "core/status.h"
 #include "song/bloom_filter.h"
 #include "song/cuckoo_filter.h"
-#include "song/debug_hooks.h"
 
 namespace song {
 
@@ -67,9 +67,10 @@ inline size_t HashTableModelBytes(size_t capacity) {
 /// The exact visited set as the CPU runs it: the epoch stamp array over the
 /// searched id range, refusing a new id once `capacity` ids are marked.
 /// kHashTable executes the GPU table's contract this way — membership is
-/// exact and Insert fails iff size() >= capacity, as OpenAddressingSet's
-/// does, so every search counter and result is the table's — without
-/// hashing, probing or tombstones. kEpochArray is the same set unbounded.
+/// exact and Insert fails iff size() >= capacity, as in a linear-probing
+/// table of 2 * capacity slots, so every search counter and result is the
+/// table's — without hashing, probing or tombstones. kEpochArray is the
+/// same set unbounded.
 /// A copyable view: the stamps stay in the VisitedTable that handed it out.
 class CappedEpochSet {
  public:

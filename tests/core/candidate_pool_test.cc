@@ -3,14 +3,17 @@
 // boundary-tie rule and reuse across queries — plus a randomized check that
 // it expands exactly what SONG's bounded queue and top-K heap expand on
 // tie-heavy streams. BestFirstCandidatePool, BestFirstSearch's frontier:
-// the same check against the two-heap textbook frontier. And the rank
-// kernel of every compiled SIMD tier against std::lower_bound.
+// the same check against the two-heap textbook frontier.
+// PartitionedCandidatePool, the GPU-priced presets' frontier: the queue and
+// top-K partitions (tests/harness fuzzes it against the oracle heaps). And
+// the rank kernel of every compiled SIMD tier against std::lower_bound.
 
 #include "core/candidate_pool.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <random>
 #include <set>
@@ -361,6 +364,86 @@ TEST(BestFirstCandidatePool, ExpandsExactlyWhatTwoHeapsExpandOnTiedStreams) {
       EXPECT_EQ(Best(pool, ef), heaps.Top()) << "episode " << episode;
     }
   }
+}
+
+TEST(PartitionedCandidatePool, QueueEvictsItsWorstUnexpandedEntry) {
+  PartitionedCandidatePool pool(2);
+  idx_t evicted = 0;
+  EXPECT_TRUE(pool.PushUnexpanded(N(3, 3), &evicted));
+  EXPECT_EQ(evicted, kInvalidIdx);
+  EXPECT_TRUE(pool.PushUnexpanded(N(1, 1), &evicted));
+  // A full queue: a better candidate replaces the worst unexpanded entry.
+  EXPECT_TRUE(pool.PushUnexpanded(N(2, 2), &evicted));
+  EXPECT_EQ(evicted, 3u);
+  // Not strictly better than the worst (a distance tie with a larger id).
+  EXPECT_FALSE(pool.PushUnexpanded(N(2, 5), &evicted));
+  EXPECT_EQ(evicted, kInvalidIdx);
+  EXPECT_EQ(pool.unexpanded(), 2u);
+  EXPECT_EQ(pool.expanded(), 0u);
+  EXPECT_EQ(pool.Next(), N(1, 1));
+  EXPECT_EQ(pool.expanded_bound(), std::numeric_limits<float>::infinity());
+  // Expanded entries are topk, not queue: the queue has room again, and a
+  // later eviction skips the expanded N(1, 1).
+  Neighbor now;
+  EXPECT_TRUE(pool.ExpandBounded(&now, &evicted));
+  EXPECT_EQ(now, N(1, 1));
+  EXPECT_TRUE(pool.PushUnexpanded(N(4, 4), &evicted));
+  EXPECT_TRUE(pool.PushUnexpanded(N(0.5f, 9), &evicted));
+  EXPECT_EQ(evicted, 4u);
+  EXPECT_EQ(pool.Next(), N(0.5f, 9));  // landed ahead: the cursor rewinds
+  EXPECT_EQ(pool.unexpanded(), 2u);
+  EXPECT_EQ(pool.expanded(), 1u);
+}
+
+TEST(PartitionedCandidatePool, TopkKeepsTheBestExpandedAndTerminatesStrictly) {
+  PartitionedCandidatePool pool(2);
+  idx_t evicted = 0;
+  Neighbor now;
+  pool.PushUnexpanded(N(1, 1), &evicted);
+  pool.PushUnexpanded(N(2, 2), &evicted);
+  EXPECT_TRUE(pool.ExpandBounded(&now, &evicted));
+  EXPECT_EQ(pool.expanded_bound(), std::numeric_limits<float>::infinity());
+  EXPECT_TRUE(pool.ExpandBounded(&now, &evicted));
+  EXPECT_EQ(now, N(2, 2));
+  EXPECT_EQ(evicted, kInvalidIdx);
+  EXPECT_EQ(pool.expanded_bound(), 2.0f);  // topk is full
+  EXPECT_FALSE(pool.HasUnexpanded());
+  // A tie with the worst distance is still expanded; sorting before the
+  // worst, it pushes the worst out of topk.
+  pool.PushUnexpanded(N(2, 1), &evicted);
+  EXPECT_TRUE(pool.ExpandBounded(&now, &evicted));
+  EXPECT_EQ(now, N(2, 1));
+  EXPECT_EQ(evicted, 2u);
+  // Sorting after the worst, topk rejects it: it leaves the pool.
+  pool.PushUnexpanded(N(2, 7), &evicted);
+  EXPECT_TRUE(pool.ExpandBounded(&now, &evicted));
+  EXPECT_EQ(now, N(2, 7));
+  EXPECT_EQ(evicted, kInvalidIdx);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.expanded_bound(), 2.0f);
+  // Strictly farther than a full topk's worst: Algorithm 1 terminates and
+  // the pool is left as it was.
+  pool.PushUnexpanded(N(3, 3), &evicted);
+  EXPECT_FALSE(pool.ExpandBounded(&now, &evicted));
+  EXPECT_EQ(now, N(3, 3));
+  EXPECT_EQ(pool.unexpanded(), 1u);
+  EXPECT_EQ(pool.Next(), N(3, 3));
+  std::vector<Neighbor> topk;
+  pool.CopyExpanded(10, &topk);
+  EXPECT_EQ(topk, (std::vector<Neighbor>{N(1, 1), N(2, 1)}));
+  topk.clear();
+  pool.CopyExpanded(1, &topk);
+  EXPECT_EQ(topk, (std::vector<Neighbor>{N(1, 1)}));
+
+  // Reset clears the expanded flags and the top-K bound.
+  pool.Reset(2);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.expanded_bound(), std::numeric_limits<float>::infinity());
+  pool.PushUnexpanded(N(5, 5), &evicted);
+  pool.PushUnexpanded(N(6, 6), &evicted);
+  EXPECT_TRUE(pool.ExpandBounded(&now, &evicted));
+  // Slot 1 was expanded in the last query; a stale flag would skip it.
+  EXPECT_EQ(pool.Next(), N(6, 6));
 }
 
 // The tiers this binary can run: compiled in and supported by the CPU.

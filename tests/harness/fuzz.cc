@@ -5,12 +5,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
 
+#include "core/candidate_pool.h"
 #include "core/dataset.h"
 #include "core/distance.h"
 #include "core/random.h"
@@ -19,11 +21,9 @@
 #include "harness/oracles.h"
 #include "harness/reference_search.h"
 #include "song/bloom_filter.h"
-#include "song/bounded_heap.h"
 #include "song/cuckoo_filter.h"
 #include "song/index_snapshot.h"
 #include "song/mutable_index.h"
-#include "song/open_addressing_set.h"
 #include "song/search_core.h"
 
 namespace song::harness {
@@ -80,191 +80,130 @@ std::string SeedBanner() {
 }
 
 // ---------------------------------------------------------------------------
-// Priority-queue fuzzers.
+// Frontier fuzzer.
 // ---------------------------------------------------------------------------
 
-DifferentialReport FuzzSmmhVsOracle(uint64_t seed, size_t rounds) {
+DifferentialReport FuzzSongPartitionsVsOracle(uint64_t seed, size_t rounds) {
   DifferentialReport report;
-  SymmetricMinMaxHeap heap;
+  PartitionedCandidatePool pool;  // reused across rounds, as a workspace's
   for (size_t round = 0; round < rounds; ++round) {
     const uint64_t rseed = DeriveSeed(seed, 0x51, round);
     RandomEngine rng(rseed);
-    size_t capacity = 1 + rng.NextUint(64);
-    heap.Reset(capacity);
-    OracleBoundedQueue oracle(capacity);
-    const std::string ctx = Ctx("SMMH", seed, round);
+    size_t capacity = 1 + rng.NextUint(48);
+    pool.Reset(capacity);
+    OracleBoundedQueue q(capacity);
+    OracleBoundedQueue topk(capacity);
+    const std::string ctx = Ctx("PartitionedCandidatePool", seed, round);
+    // Few distance levels and a small id range: many exact ties, and now
+    // and then a repeated (dist, id) pair, which both heaps keep as
+    // separate equal elements.
+    const size_t levels = 1 + rng.NextUint(12);
     bool round_ok = true;
 
-    auto check_state = [&](const char* op) {
+    const auto fail = [&](const std::string& what) {
+      report.Fail(ctx + what);
+      round_ok = false;
+    };
+    const auto check_state = [&](const char* op) {
       ++report.checks;
-      if (heap.size() != oracle.size()) {
-        report.Fail(ctx + op + ": size " + std::to_string(heap.size()) +
-                    " vs oracle " + std::to_string(oracle.size()));
-        return false;
+      if (pool.unexpanded() != q.size() || pool.expanded() != topk.size()) {
+        fail(std::string(op) + ": partition sizes " +
+             std::to_string(pool.unexpanded()) + "/" +
+             std::to_string(pool.expanded()) + " vs oracle " +
+             std::to_string(q.size()) + "/" + std::to_string(topk.size()));
+        return;
       }
-      if (!heap.CheckInvariants()) {
-        report.Fail(ctx + op + ": heap invariant violated at size " +
-                    std::to_string(heap.size()));
-        return false;
+      if (pool.HasUnexpanded() != !q.empty() ||
+          (!q.empty() && !(pool.Next() == q.Min()))) {
+        fail(std::string(op) + ": queue minimum " +
+             (pool.HasUnexpanded() ? DescribeNeighbor(pool.Next()) : "none") +
+             " vs oracle " + (q.empty() ? "none" : DescribeNeighbor(q.Min())));
+        return;
       }
-      if (!oracle.empty()) {
-        if (!(heap.Min() == oracle.Min())) {
-          report.Fail(ctx + op + ": Min " + DescribeNeighbor(heap.Min()) +
-                      " vs oracle " + DescribeNeighbor(oracle.Min()));
-          return false;
-        }
-        if (!(heap.Max() == oracle.Max())) {
-          report.Fail(ctx + op + ": Max " + DescribeNeighbor(heap.Max()) +
-                      " vs oracle " + DescribeNeighbor(oracle.Max()));
-          return false;
-        }
+      const float bound = topk.full() ? topk.Max().dist
+                                      : std::numeric_limits<float>::infinity();
+      if (pool.expanded_bound() != bound) {
+        fail(std::string(op) + ": top-K bound " +
+             std::to_string(pool.expanded_bound()) + " vs oracle " +
+             std::to_string(bound));
       }
-      return true;
+    };
+    const auto check_contents = [&](const char* op) {
+      ++report.checks;
+      std::vector<Neighbor> expanded;
+      pool.CopyExpanded(pool.size(), &expanded);
+      std::vector<Neighbor> all;
+      for (size_t i = 0; i < pool.size(); ++i) all.push_back(pool[i]);
+      std::vector<Neighbor> want_all = q.Sorted();
+      const std::vector<Neighbor> want_topk = topk.Sorted();
+      want_all.insert(want_all.end(), want_topk.begin(), want_topk.end());
+      std::sort(want_all.begin(), want_all.end());
+      if (expanded != want_topk || all != want_all) {
+        fail(std::string(op) + ": partition contents differ (" +
+             std::to_string(expanded.size()) + " expanded of " +
+             std::to_string(all.size()) + " vs oracle " +
+             std::to_string(want_topk.size()) + " of " +
+             std::to_string(want_all.size()) + ")");
+      }
     };
 
-    const size_t ops = 40 + rng.NextUint(200);
+    const size_t ops = 40 + rng.NextUint(240);
     for (size_t op = 0; op < ops && round_ok; ++op) {
-      const Neighbor x(static_cast<float>(rng.NextUint(32)),
-                       static_cast<idx_t>(rng.NextUint(64)));
-      switch (rng.NextUint(10)) {
-        case 0:
-        case 1:
-        case 2:
-        case 3: {
-          Neighbor evicted_h, evicted_o;
-          const bool was_full = oracle.full();
-          const bool rh = heap.PushBounded(x, &evicted_h);
-          const bool ro = oracle.PushBounded(x, &evicted_o);
-          ++report.checks;
-          if (rh != ro) {
-            report.Fail(ctx + "PushBounded accept mismatch for " +
-                        DescribeNeighbor(x));
-            round_ok = false;
-            break;
-          }
-          if (rh && was_full && !(evicted_h == evicted_o)) {
-            report.Fail(ctx + "PushBounded evicted " +
-                        DescribeNeighbor(evicted_h) + " vs oracle " +
-                        DescribeNeighbor(evicted_o));
-            round_ok = false;
-            break;
-          }
-          round_ok = check_state("PushBounded");
+      const uint64_t pick = rng.NextUint(16);
+      if (pick < 9) {
+        const Neighbor x(static_cast<float>(rng.NextUint(levels)),
+                         static_cast<idx_t>(rng.NextUint(64)));
+        Neighbor evicted_o;
+        const bool was_full = q.full();
+        const bool ro = q.PushBounded(x, &evicted_o);
+        const idx_t want_evicted = ro && was_full ? evicted_o.id : kInvalidIdx;
+        idx_t evicted = 0;
+        const bool rp = pool.PushUnexpanded(x, &evicted);
+        ++report.checks;
+        if (rp != ro || evicted != want_evicted) {
+          fail("PushUnexpanded " + DescribeNeighbor(x) + " -> " +
+               std::to_string(rp) + ", evicted " + std::to_string(evicted) +
+               " vs oracle " + std::to_string(ro) + ", evicted " +
+               std::to_string(want_evicted));
           break;
         }
-        case 4:
-          if (!heap.full()) {
-            heap.Push(x);
-            oracle.Push(x);
-            round_ok = check_state("Push");
+        check_state("PushUnexpanded");
+      } else if (pick < 15) {
+        if (q.empty()) continue;
+        const Neighbor m = q.Min();
+        const bool terminates = topk.full() && m.dist > topk.Max().dist;
+        idx_t want_evicted = kInvalidIdx;
+        if (!terminates) {
+          q.PopMin();
+          Neighbor evicted_o;
+          const bool was_full = topk.full();
+          if (topk.PushBounded(m, &evicted_o) && was_full) {
+            want_evicted = evicted_o.id;
           }
+        }
+        Neighbor now;
+        idx_t evicted = 0;
+        const bool rp = pool.ExpandBounded(&now, &evicted);
+        ++report.checks;
+        if (rp == terminates || !(now == m) || evicted != want_evicted) {
+          fail("ExpandBounded -> " + std::to_string(rp) + " " +
+               DescribeNeighbor(now) + ", evicted " +
+               std::to_string(evicted) + " vs oracle " +
+               std::to_string(!terminates) + " " + DescribeNeighbor(m) +
+               ", evicted " + std::to_string(want_evicted));
           break;
-        case 5:
-        case 6:
-          if (!oracle.empty()) {
-            const Neighbor ph = heap.PopMin();
-            const Neighbor po = oracle.PopMin();
-            ++report.checks;
-            if (!(ph == po)) {
-              report.Fail(ctx + "PopMin " + DescribeNeighbor(ph) +
-                          " vs oracle " + DescribeNeighbor(po));
-              round_ok = false;
-              break;
-            }
-            round_ok = check_state("PopMin");
-          }
-          break;
-        case 7:
-          if (!oracle.empty()) {
-            const Neighbor ph = heap.PopMax();
-            const Neighbor po = oracle.PopMax();
-            ++report.checks;
-            if (!(ph == po)) {
-              report.Fail(ctx + "PopMax " + DescribeNeighbor(ph) +
-                          " vs oracle " + DescribeNeighbor(po));
-              round_ok = false;
-              break;
-            }
-            round_ok = check_state("PopMax");
-          }
-          break;
-        case 8:
-          if (rng.NextUint(8) == 0) {
-            heap.Clear();
-            oracle.Clear();
-            round_ok = check_state("Clear");
-          }
-          break;
-        case 9:
-          if (rng.NextUint(16) == 0) {
-            capacity = 1 + rng.NextUint(64);
-            heap.Reset(capacity);
-            oracle.Reset(capacity);
-            round_ok = check_state("Reset");
-          }
-          break;
+        }
+        check_state("ExpandBounded");
+      } else if (rng.NextUint(4) == 0) {
+        capacity = 1 + rng.NextUint(48);
+        pool.Reset(capacity);
+        q.Reset(capacity);
+        topk.Reset(capacity);
+        check_state("Reset");
       }
+      if (round_ok && op % 8 == 0) check_contents("periodic");
     }
-    // Full drain must come out ascending and element-for-element equal.
-    while (round_ok && !oracle.empty()) {
-      const Neighbor ph = heap.PopMin();
-      const Neighbor po = oracle.PopMin();
-      ++report.checks;
-      if (!(ph == po)) {
-        report.Fail(ctx + "drain PopMin " + DescribeNeighbor(ph) +
-                    " vs oracle " + DescribeNeighbor(po));
-        round_ok = false;
-      }
-    }
-  }
-  return report;
-}
-
-DifferentialReport FuzzTopKVsOracle(uint64_t seed, size_t rounds) {
-  DifferentialReport report;
-  BoundedMaxHeap heap;
-  for (size_t round = 0; round < rounds; ++round) {
-    const uint64_t rseed = DeriveSeed(seed, 0x52, round);
-    RandomEngine rng(rseed);
-    const size_t capacity = 1 + rng.NextUint(48);
-    heap.Reset(capacity);
-    OracleBoundedQueue oracle(capacity);
-    const std::string ctx = Ctx("BoundedMaxHeap", seed, round);
-    bool round_ok = true;
-
-    const size_t ops = 30 + rng.NextUint(180);
-    for (size_t op = 0; op < ops && round_ok; ++op) {
-      const Neighbor x(static_cast<float>(rng.NextUint(24)),
-                       static_cast<idx_t>(rng.NextUint(64)));
-      Neighbor evicted_h, evicted_o;
-      const bool was_full = oracle.full();
-      const bool rh = heap.PushBounded(x, &evicted_h);
-      const bool ro = oracle.PushBounded(x, &evicted_o);
-      ++report.checks;
-      if (rh != ro || (rh && was_full && !(evicted_h == evicted_o))) {
-        report.Fail(ctx + "PushBounded mismatch for " + DescribeNeighbor(x));
-        round_ok = false;
-        break;
-      }
-      if (heap.size() != oracle.size() ||
-          (!oracle.empty() && !(heap.Max() == oracle.Max()))) {
-        report.Fail(ctx + "size/Max mismatch after " + DescribeNeighbor(x));
-        round_ok = false;
-        break;
-      }
-    }
-    if (!round_ok) continue;
-    const std::vector<Neighbor> got = heap.TakeSorted();
-    const std::vector<Neighbor> want = oracle.Sorted();
-    ++report.checks;
-    if (got.size() != want.size() ||
-        !std::equal(got.begin(), got.end(), want.begin(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      return a == b;
-                    })) {
-      report.Fail(ctx + "TakeSorted mismatch (" + std::to_string(got.size()) +
-                  " vs " + std::to_string(want.size()) + " elements)");
-    }
+    if (round_ok) check_contents("final");
   }
   return report;
 }
@@ -349,123 +288,6 @@ DifferentialReport FuzzExactVisitedVsOracle(VisitedStructure structure,
         report.Fail(ctx + "size " + std::to_string(table.size()) +
                     " vs oracle " + std::to_string(oracle.size()));
         round_ok = false;
-      }
-    }
-  }
-  return report;
-}
-
-DifferentialReport FuzzOpenAddressingSaturation(uint64_t seed, size_t rounds) {
-  DifferentialReport report;
-  for (size_t round = 0; round < rounds; ++round) {
-    const uint64_t rseed = DeriveSeed(seed, 0x54, round);
-    RandomEngine rng(rseed);
-    const size_t capacity = 8 + rng.NextUint(200);
-    OpenAddressingSet set(capacity);
-    OracleVisitedSet oracle(capacity);
-    const std::string ctx = Ctx("OpenAddressingSet", seed, round);
-    bool round_ok = true;
-
-    // Phase 1: fill to exactly capacity with distinct keys; every insert
-    // must succeed, the next distinct one must be rejected.
-    for (idx_t key = 0; static_cast<size_t>(key) < capacity && round_ok;
-         ++key) {
-      ++report.checks;
-      if (!set.Insert(key) || !oracle.Insert(key)) {
-        report.Fail(ctx + "insert below capacity rejected at key " +
-                    std::to_string(key));
-        round_ok = false;
-      }
-    }
-    if (round_ok) {
-      ++report.checks;
-      if (set.Insert(static_cast<idx_t>(capacity))) {
-        report.Fail(ctx + "insert at capacity accepted");
-        round_ok = false;
-      }
-      ++report.checks;
-      if (!set.full() || set.size() != capacity) {
-        report.Fail(ctx + "full()/size() wrong at capacity");
-        round_ok = false;
-      }
-      // Probing for an absent key in a dense table must terminate false.
-      ++report.checks;
-      if (set.Contains(static_cast<idx_t>(capacity + 1))) {
-        report.Fail(ctx + "phantom key reported present at capacity");
-        round_ok = false;
-      }
-    }
-
-    // Phase 2: erase/insert churn at high load — tombstone chains must keep
-    // probes correct (no lost keys, no phantom keys, size in sync).
-    const size_t key_range = capacity * 2;
-    const size_t ops = 6 * capacity;
-    const size_t slots_before = set.slot_count();
-    for (size_t op = 0; op < ops && round_ok; ++op) {
-      const idx_t key = static_cast<idx_t>(rng.NextUint(key_range));
-      switch (rng.NextUint(4)) {
-        case 0:
-        case 1: {
-          const bool rs = set.Insert(key);
-          const bool ro = oracle.Insert(key);
-          ++report.checks;
-          if (rs != ro) {
-            report.Fail(ctx + "churn Insert(" + std::to_string(key) +
-                        ") -> " + std::to_string(rs) + " vs oracle " +
-                        std::to_string(ro));
-            round_ok = false;
-          }
-          break;
-        }
-        case 2: {
-          const bool rs = set.Erase(key);
-          const bool ro = oracle.Erase(key);
-          ++report.checks;
-          if (rs != ro) {
-            report.Fail(ctx + "churn Erase(" + std::to_string(key) + ") -> " +
-                        std::to_string(rs) + " vs oracle " +
-                        std::to_string(ro));
-            round_ok = false;
-          }
-          break;
-        }
-        case 3: {
-          const bool rs = set.Contains(key);
-          const bool ro = oracle.Test(key);
-          ++report.checks;
-          if (rs != ro) {
-            report.Fail(ctx + "churn Contains(" + std::to_string(key) +
-                        ") -> " + std::to_string(rs) + " vs oracle " +
-                        std::to_string(ro));
-            round_ok = false;
-          }
-          break;
-        }
-      }
-      if (round_ok && set.size() != oracle.size()) {
-        report.Fail(ctx + "churn size drift " + std::to_string(set.size()) +
-                    " vs oracle " + std::to_string(oracle.size()));
-        round_ok = false;
-      }
-    }
-    ++report.checks;
-    if (round_ok && set.slot_count() != slots_before) {
-      report.Fail(ctx + "slot array reallocated during churn");
-      round_ok = false;
-    }
-
-    // Phase 3: Clear must reuse the allocation and fully empty the table.
-    if (round_ok) {
-      set.Clear();
-      ++report.checks;
-      if (set.size() != 0 || set.slot_count() != slots_before ||
-          set.Contains(0)) {
-        report.Fail(ctx + "Clear left residue");
-        round_ok = false;
-      }
-      ++report.checks;
-      if (round_ok && !set.Insert(7)) {
-        report.Fail(ctx + "insert after Clear rejected");
       }
     }
   }
@@ -703,7 +525,7 @@ FuzzInstance MakeInstance(RandomEngine& rng, VisitedStructure structure) {
   inst.options.visited_deletion = rng.NextUint(2) == 0;
   if (structure == VisitedStructure::kEpochArray && rng.NextUint(3) != 0) {
     // Three in four epoch-array rounds run the CPU preset's candidate pool
-    // (internal::UsesCandidatePool); the rest keep the SMMH frontier.
+    // (internal::UsesCandidatePool); the rest keep the SONG frontier.
     inst.options.selected_insertion = false;
     inst.options.visited_deletion = false;
   }
@@ -813,8 +635,9 @@ DifferentialReport FuzzSearchDifferential(VisitedStructure structure,
       report.Fail(ctx + "result set mismatch " + DescribeInstance(inst));
       continue;
     }
-    // The pool skips the SMMH's final round that only discovers
-    // termination, so its iterations are the reference's expansion rounds.
+    // The CPU pool skips the SONG frontier's final round that only
+    // discovers termination, so its iterations are the reference's
+    // expansion rounds.
     const size_t want_iterations =
         pool ? want.expansion_rounds : want.iterations;
     ++report.checks;

@@ -47,23 +47,19 @@ struct DifferentialReport {
 
 // --- Structure-vs-oracle fuzzers (one randomized op sequence per round). ---
 
-/// SymmetricMinMaxHeap vs multiset oracle: Push/PushBounded/PopMin/PopMax/
-/// Clear/Reset sequences; checks Min/Max/size/returned values after every op
-/// plus CheckInvariants().
-DifferentialReport FuzzSmmhVsOracle(uint64_t seed, size_t rounds);
-
-/// BoundedMaxHeap vs multiset oracle, including TakeSorted drain order.
-DifferentialReport FuzzTopKVsOracle(uint64_t seed, size_t rounds);
+/// PartitionedCandidatePool (SONG's q and topk as the unexpanded and
+/// expanded partitions of one sorted array) vs a pair of multiset oracles,
+/// one per heap: PushUnexpanded / ExpandBounded / Reset sequences over
+/// tie-heavy (dist, id) streams; checks every return value, evicted id and
+/// partition size, the queue minimum and the top-K bound after every op,
+/// and both partitions' full contents.
+DifferentialReport FuzzSongPartitionsVsOracle(uint64_t seed, size_t rounds);
 
 /// VisitedTable with an exact structure (kHashTable or kEpochArray) vs the
 /// capacity-modelled set oracle: Insert/Test/Erase/Clear sequences, mixing
 /// ample and deliberately tight capacities to exercise saturation.
 DifferentialReport FuzzExactVisitedVsOracle(VisitedStructure structure,
                                             uint64_t seed, size_t rounds);
-
-/// OpenAddressingSet edge cases: insert-at-capacity, tombstone-reusing probe
-/// chains (erase/reinsert churn at high load), full-table scans, Clear reuse.
-DifferentialReport FuzzOpenAddressingSaturation(uint64_t seed, size_t rounds);
 
 /// CuckooFilter one-sided-error contract: no false negatives while every
 /// insert has succeeded and only inserted keys are erased; eviction loops

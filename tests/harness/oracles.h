@@ -1,9 +1,9 @@
 // Copyright 2026 The SONG-Repro Authors.
 //
 // Reference oracles for the differential harness: trivially-correct
-// standard-library implementations of the bounded double-ended priority
-// queue, the bounded top-k heap, and the visited set. The production
-// structures in src/song/ are checked move-for-move against these on
+// standard-library implementations of SONG's bounded double-ended priority
+// queue and bounded top-k heap (§IV-C), and of the visited set. The
+// production structures are checked move-for-move against these on
 // randomized op sequences (tests/harness/structure_fuzz_test.cc) and inside
 // a full mirrored search (tests/harness/reference_search.*). Oracles favour
 // obviousness over speed — a std::multiset is slow and correct by
@@ -24,9 +24,10 @@
 
 namespace song::harness {
 
-/// Oracle twin of SymmetricMinMaxHeap: a bounded double-ended priority queue
-/// over Neighbor (operator< orders by distance, ties on id). Also doubles as
-/// the oracle for BoundedMaxHeap, whose PushBounded semantics are identical.
+/// SONG's bounded double-ended priority queue `q` over Neighbor (operator<
+/// orders by distance, ties on id); a second instance models the bounded
+/// top-K, whose PushBounded semantics are identical. PartitionedCandidatePool
+/// keeps both as the partitions of one sorted array.
 class OracleBoundedQueue {
  public:
   explicit OracleBoundedQueue(size_t capacity = 0) : capacity_(capacity) {}
@@ -45,11 +46,10 @@ class OracleBoundedQueue {
   Neighbor Min() const { return *set_.begin(); }
   Neighbor Max() const { return *set_.rbegin(); }
 
-  /// Mirrors SymmetricMinMaxHeap::Push (caller guarantees !full()).
+  /// Unbounded insert (caller guarantees !full()).
   void Push(const Neighbor& x) { set_.insert(x); }
 
-  /// Mirrors {SymmetricMinMaxHeap,BoundedMaxHeap}::PushBounded: inserts,
-  /// evicting the maximum when full; rejects x when !(x < Max()).
+  /// Inserts, evicting the maximum when full; rejects x when !(x < Max()).
   bool PushBounded(const Neighbor& x, Neighbor* evicted = nullptr) {
     if (!full()) {
       set_.insert(x);
@@ -74,8 +74,8 @@ class OracleBoundedQueue {
     return n;
   }
 
-  /// Contents sorted ascending — what BoundedMaxHeap::TakeSorted returns and
-  /// the order SymmetricMinMaxHeap drains in under repeated PopMin.
+  /// Contents sorted ascending: the top-K a search returns, or the order
+  /// the queue drains in under repeated PopMin.
   std::vector<Neighbor> Sorted() const {
     return std::vector<Neighbor>(set_.begin(), set_.end());
   }
@@ -85,12 +85,12 @@ class OracleBoundedQueue {
   size_t capacity_ = 0;
 };
 
-/// Oracle twin of the exact visited structures (OpenAddressingSet behind
-/// VisitedTable, and the epoch array). `capacity` = 0 models an unbounded
-/// set; otherwise Insert fails exactly when `size() >= capacity` — which is
-/// also the precise saturation contract of OpenAddressingSet: its slot array
-/// (2x capacity, tombstone-reusing full scan) can always place a key while
-/// the live count is below the declared element capacity.
+/// Oracle twin of the exact visited structures (the GPU open-addressing
+/// table, which the host runs as CappedEpochSet, and the epoch array).
+/// `capacity` = 0 models an unbounded set; otherwise Insert fails exactly
+/// when `size() >= capacity` — the table's saturation contract: its slot
+/// array (2x capacity) can always place a key while the live count is
+/// below the declared element capacity.
 class OracleVisitedSet {
  public:
   explicit OracleVisitedSet(size_t capacity = 0) : capacity_(capacity) {}

@@ -2,7 +2,7 @@
 //
 // Oracle-backed reference implementation of the SONG 3-stage search
 // (src/song/search_core.h), built on the std:: oracles in oracles.h instead
-// of the production SMMH / bounded heap / open-addressing structures. It
+// of the production candidate pool and visited structures. It
 // mirrors the paper's semantics statement-for-statement — bounded queue
 // (§IV-C), selected insertion (§IV-D), visited deletion (§IV-E), multi-step
 // probing (§V), the strict-termination tie rule — and records the exact
@@ -34,7 +34,7 @@ struct ReferenceSearchResult {
 
 /// Runs the reference search. `visited_capacity` = 0 models an unbounded
 /// exact visited set; pass internal::AutoHashCapacity(...) to model the
-/// saturation behaviour of a bounded OpenAddressingSet exactly.
+/// saturation behaviour of the bounded GPU hash table exactly.
 ReferenceSearchResult ReferenceSongSearch(
     const FixedDegreeGraph& graph, idx_t entry, size_t k,
     const SongSearchOptions& options, size_t visited_capacity,

@@ -1,6 +1,6 @@
 // Harness self-test: proves the differential harness actually has teeth by
 // planting known bugs behind the test-only hooks in
-// src/song/debug_hooks.h and asserting the oracle comparison catches each —
+// src/core/debug_hooks.h and asserting the oracle comparison catches each —
 // then asserting the very same runners pass clean once the fault is lifted.
 // A fuzz harness that cannot detect a planted off-by-one is worse than none:
 // it would launder broken structures as "verified".
@@ -8,11 +8,11 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/debug_hooks.h"
 #include "core/random.h"
 #include "gtest/gtest.h"
 #include "harness/fuzz.h"
 #include "harness/oracles.h"
-#include "song/debug_hooks.h"
 
 namespace song::harness {
 namespace {
@@ -21,31 +21,29 @@ namespace {
 // every round after the first detection is wasted work.
 constexpr size_t kRounds = 60;
 
-TEST(HarnessSelfTest, DetectsPlantedSmmhSiftOffByOne) {
+TEST(HarnessSelfTest, DetectsPlantedQueueEvictingItsBest) {
+  // The planted mutation makes the SONG frontier's full queue drop its best
+  // unexpanded entry instead of its worst. The pool fuzz must see the wrong
+  // eviction against the oracle heaps, and the full pipeline must visit
+  // different vertices than the reference search.
   {
-    hooks::ScopedFault fault(&hooks::smmh_sift_off_by_one);
-    const DifferentialReport broken = FuzzSmmhVsOracle(BaseSeed(), kRounds);
-    EXPECT_GT(broken.failures, 0u)
-        << "harness failed to detect the planted SMMH sift off-by-one";
-  }
-  const DifferentialReport clean = FuzzSmmhVsOracle(BaseSeed(), kRounds);
-  EXPECT_EQ(clean.failures, 0u) << clean.first_divergence;
-}
-
-TEST(HarnessSelfTest, SmmhFaultAlsoSurfacesInSearchDifferential) {
-  // The corrupted queue mis-orders pops, so the full pipeline visits
-  // different vertices than the reference — the end-to-end harness must see
-  // it too, not just the unit-level fuzz.
-  {
-    hooks::ScopedFault fault(&hooks::smmh_sift_off_by_one);
-    const DifferentialReport broken =
+    hooks::ScopedFault fault(&hooks::song_queue_evict_best);
+    const DifferentialReport pool =
+        FuzzSongPartitionsVsOracle(BaseSeed(), kRounds);
+    EXPECT_GT(pool.failures, 0u)
+        << "pool fuzz failed to detect the queue evicting its best entry";
+    const DifferentialReport search =
         FuzzSearchDifferential(VisitedStructure::kHashTable, BaseSeed(), 120);
-    EXPECT_GT(broken.failures, 0u)
-        << "search differential failed to detect the SMMH fault";
+    EXPECT_GT(search.failures, 0u)
+        << "search differential failed to detect the queue evicting its "
+           "best entry";
   }
-  const DifferentialReport clean =
+  const DifferentialReport pool =
+      FuzzSongPartitionsVsOracle(BaseSeed(), kRounds);
+  EXPECT_EQ(pool.failures, 0u) << pool.first_divergence;
+  const DifferentialReport search =
       FuzzSearchDifferential(VisitedStructure::kHashTable, BaseSeed(), 120);
-  EXPECT_EQ(clean.failures, 0u) << clean.first_divergence;
+  EXPECT_EQ(search.failures, 0u) << search.first_divergence;
 }
 
 TEST(HarnessSelfTest, OracleDynamicIndexCatchesPlantedMutationDrops) {
@@ -160,19 +158,6 @@ TEST(HarnessSelfTest, DetectsPlantedHashTableIgnoredCapacity) {
   const DifferentialReport search =
       FuzzSearchDifferential(VisitedStructure::kHashTable, BaseSeed(), kRounds);
   EXPECT_EQ(search.failures, 0u) << search.first_divergence;
-}
-
-TEST(HarnessSelfTest, DroppedGrowthAlsoSurfacesInSaturationFuzz) {
-  {
-    hooks::ScopedFault fault(&hooks::hash_set_skip_growth);
-    const DifferentialReport broken =
-        FuzzOpenAddressingSaturation(BaseSeed(), kRounds);
-    EXPECT_GT(broken.failures, 0u)
-        << "saturation fuzz failed to detect the dropped resize";
-  }
-  const DifferentialReport clean =
-      FuzzOpenAddressingSaturation(BaseSeed(), kRounds);
-  EXPECT_EQ(clean.failures, 0u) << clean.first_divergence;
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(TraceIntegration, TracingIsAPureObserver) {
   const Fixture& fx = Fixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, /*num_threads=*/2);
-  // One preset per frontier: the SMMH queue and the CPU preset's pool.
+  // One preset per frontier: the SONG queue and the CPU preset's pool.
   for (SongSearchOptions options : {SongSearchOptions::HashTableSelDel(),
                                     SongSearchOptions::CpuEngineered()}) {
     SCOPED_TRACE(options.Name());

@@ -1,7 +1,6 @@
 // Input-validation tests for the checked batch path: NaN/Inf query
 // rejection, dim-mismatch, bad-k and bad-option refusal, and the
-// capacity-checked TryPush/TryReset admission on the bounded per-query
-// structures.
+// capacity-checked TryReset admission on the per-query visited table.
 
 #include <cmath>
 #include <limits>
@@ -12,8 +11,6 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "song/batch_engine.h"
-#include "song/bounded_heap.h"
-#include "song/open_addressing_set.h"
 #include "song/song_searcher.h"
 #include "song/visited_table.h"
 
@@ -162,27 +159,7 @@ TEST(BatchAdmission, TrySearchMatchesSearchForValidInput) {
   }
 }
 
-TEST(BoundedStructures, TryPushReportsCapacityExhaustion) {
-  SymmetricMinMaxHeap q(2);
-  EXPECT_TRUE(q.TryPush(Neighbor{1.0f, 1}).ok());
-  EXPECT_TRUE(q.TryPush(Neighbor{2.0f, 2}).ok());
-  const Status full = q.TryPush(Neighbor{3.0f, 3});
-  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(q.size(), 2u);
-
-  BoundedMaxHeap topk(2);
-  EXPECT_TRUE(topk.TryPush(Neighbor{1.0f, 1}).ok());
-  EXPECT_TRUE(topk.TryPush(Neighbor{2.0f, 2}).ok());
-  EXPECT_EQ(topk.TryPush(Neighbor{3.0f, 3}).code(),
-            StatusCode::kResourceExhausted);
-}
-
 TEST(BoundedStructures, TryResetRejectsAbsurdCapacities) {
-  OpenAddressingSet set;
-  EXPECT_TRUE(set.TryReset(1024).ok());
-  EXPECT_EQ(set.TryReset(OpenAddressingSet::kMaxCapacity + 1).code(),
-            StatusCode::kResourceExhausted);
-
   VisitedTable table;
   EXPECT_TRUE(
       table.TryReset(VisitedStructure::kHashTable, 4096, /*num_ids=*/4096)

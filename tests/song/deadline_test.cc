@@ -100,7 +100,7 @@ TEST(DeadlineBudget, GenerousBudgetsDoNotChangeResults) {
 TEST(DeadlineBudget, TinyCostBudgetDegradesButStaysValid) {
   const DeadlineFixture& fx = DeadlineFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
-  // One preset per frontier: the SMMH queue and the CPU preset's pool.
+  // One preset per frontier: the SONG queue and the CPU preset's pool.
   for (SongSearchOptions options :
        {SongSearchOptions::HashTable(), SongSearchOptions::CpuEngineered()}) {
     SCOPED_TRACE(options.Name());

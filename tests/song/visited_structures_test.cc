@@ -1,108 +1,20 @@
-// Tests for the visited-set structures (paper §IV-B / §IV-E): the
-// open-addressing hash set, the Bloom filter (including the paper's sizing
-// claim: ~300 u32 words keep false positives under 1% for 1000 insertions),
-// the Cuckoo filter (deletion support, no false negatives), and the
-// VisitedTable facade.
+// Tests for the visited-set structures (paper §IV-B / §IV-E): the Bloom
+// filter (including the paper's sizing claim: ~300 u32 words keep false
+// positives under 1% for 1000 insertions), the Cuckoo filter (deletion
+// support, no false negatives), and the VisitedTable facade, whose hash
+// table reports the GPU open-addressing table's modelled bytes.
 
 #include <random>
-#include <set>
+#include <iterator>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "song/bloom_filter.h"
 #include "song/cuckoo_filter.h"
-#include "song/open_addressing_set.h"
 #include "song/visited_table.h"
 
 namespace song {
 namespace {
-
-// ---- OpenAddressingSet ----
-
-TEST(OpenAddressingSet, InsertAndContains) {
-  OpenAddressingSet set(16);
-  EXPECT_FALSE(set.Contains(5));
-  EXPECT_TRUE(set.Insert(5));
-  EXPECT_TRUE(set.Contains(5));
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(OpenAddressingSet, DuplicateInsertRejected) {
-  OpenAddressingSet set(16);
-  EXPECT_TRUE(set.Insert(5));
-  EXPECT_FALSE(set.Insert(5));
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(OpenAddressingSet, EraseMakesRoomAndProbesPastTombstones) {
-  OpenAddressingSet set(8);
-  for (idx_t i = 0; i < 8; ++i) EXPECT_TRUE(set.Insert(i));
-  EXPECT_TRUE(set.full());
-  EXPECT_TRUE(set.Erase(3));
-  EXPECT_FALSE(set.Contains(3));
-  EXPECT_EQ(set.size(), 7u);
-  // Everything else still findable despite the tombstone.
-  for (idx_t i = 0; i < 8; ++i) {
-    if (i != 3) EXPECT_TRUE(set.Contains(i)) << i;
-  }
-  EXPECT_TRUE(set.Insert(100));
-  EXPECT_TRUE(set.Contains(100));
-}
-
-TEST(OpenAddressingSet, EraseMissingReturnsFalse) {
-  OpenAddressingSet set(8);
-  set.Insert(1);
-  EXPECT_FALSE(set.Erase(2));
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(OpenAddressingSet, InsertFailsAtCapacity) {
-  OpenAddressingSet set(4);
-  for (idx_t i = 0; i < 4; ++i) EXPECT_TRUE(set.Insert(i));
-  EXPECT_FALSE(set.Insert(99));
-  EXPECT_FALSE(set.Contains(99));
-}
-
-TEST(OpenAddressingSet, ClearEmptiesButKeepsAllocation) {
-  OpenAddressingSet set(16);
-  for (idx_t i = 0; i < 10; ++i) set.Insert(i);
-  const size_t bytes = set.MemoryBytes();
-  set.Clear();
-  EXPECT_EQ(set.size(), 0u);
-  EXPECT_FALSE(set.Contains(3));
-  EXPECT_EQ(set.MemoryBytes(), bytes);
-}
-
-TEST(OpenAddressingSet, LoadFactorBelowHalf) {
-  OpenAddressingSet set(100);
-  EXPECT_GE(set.slot_count(), 200u);
-}
-
-TEST(OpenAddressingSet, RandomizedAgainstStdSet) {
-  std::mt19937 rng(99);
-  OpenAddressingSet set(512);
-  std::set<idx_t> oracle;
-  for (int op = 0; op < 20000; ++op) {
-    const idx_t key = rng() % 1024;
-    const int action = rng() % 3;
-    if (action == 0 && oracle.size() < 512) {
-      EXPECT_EQ(set.Insert(key), oracle.insert(key).second);
-    } else if (action == 1) {
-      EXPECT_EQ(set.Erase(key), oracle.erase(key) > 0);
-    } else {
-      EXPECT_EQ(set.Contains(key), oracle.count(key) > 0) << key;
-    }
-    EXPECT_EQ(set.size(), oracle.size());
-  }
-}
-
-TEST(OpenAddressingSet, TracksProbeCount) {
-  OpenAddressingSet set(16);
-  const size_t before = set.probes();
-  set.Insert(1);
-  set.Contains(1);
-  EXPECT_GT(set.probes(), before);
-}
 
 // ---- BloomFilter ----
 
@@ -234,8 +146,7 @@ TEST(CuckooFilter, ClearResets) {
 TEST(CuckooFilter, SmallerThanHashTableForSameCapacity) {
   // §IV-B: probabilistic structures trade accuracy for memory.
   CuckooFilter cuckoo(1024);
-  OpenAddressingSet hash(1024);
-  EXPECT_LT(cuckoo.MemoryBytes(), hash.MemoryBytes());
+  EXPECT_LT(cuckoo.MemoryBytes(), HashTableModelBytes(1024));
 }
 
 // ---- VisitedTable facade ----
@@ -280,12 +191,15 @@ TEST(VisitedTable, DeletionSupportMatrix) {
 
 TEST(VisitedTable, HashTableReportsTheProbingTablesBytes) {
   // The host runs the hash table on the stamp array, but the footprint the
-  // cost model prices stays the GPU table's slot array.
+  // cost model prices stays the GPU table's slot array: the next power of
+  // two >= 2 * capacity slots, at least 16, of 4 bytes each.
+  const size_t capacities[] = {0, 1, 7, 8, 9, 100, 112, 2560, 5000};
+  const size_t bytes[] = {64, 64, 64, 64, 128, 1024, 1024, 32768, 65536};
   VisitedTable table;
-  for (size_t capacity : {0, 1, 7, 8, 9, 100, 112, 2560, 5000}) {
-    table.Reset(VisitedStructure::kHashTable, capacity, /*num_ids=*/10000);
-    EXPECT_EQ(table.MemoryBytes(), OpenAddressingSet(capacity).MemoryBytes())
-        << capacity;
+  for (size_t i = 0; i < std::size(capacities); ++i) {
+    EXPECT_EQ(HashTableModelBytes(capacities[i]), bytes[i]) << capacities[i];
+    table.Reset(VisitedStructure::kHashTable, capacities[i], /*num_ids=*/10000);
+    EXPECT_EQ(table.MemoryBytes(), bytes[i]) << capacities[i];
   }
 }
 

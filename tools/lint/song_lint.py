@@ -19,9 +19,9 @@ Clang Thread Safety Analysis build (docs/static_analysis.md):
                      push_back / emplace_back / std::string / SONG_LOG /
                      printf / fprintf / snprintf / std::cout / std::cerr.
                      The load-bearing regions (REQUIRED_HOT_REGIONS below:
-                     flight-recorder Record, search_core Stage 2 and pool
-                     admission, BestFirstSearch admission, serve batch
-                     forming) are REQUIRED to exist, so deleting a marker
+                     flight-recorder Record, search_core Stage 2 and both
+                     frontiers' admission, BestFirstSearch admission, serve
+                     batch forming) are REQUIRED to exist, so deleting a marker
                      fails the lint rather than silently skipping.
 
   status-discard     No raw `(void)call(...)` discards and no bare
@@ -40,14 +40,13 @@ Clang Thread Safety Analysis build (docs/static_analysis.md):
                      hangs off those two tokens).
 
   one-search-loop    No std::priority_queue<Neighbor, ..., std::greater<>>
-                     min-heap frontier anywhere in src/, and
+                     min-heap frontier anywhere in src/.
                      graph/graph_search.h's BestFirstSearch (paper
                      Algorithm 1, the one best-first loop) must run on the
-                     sorted CandidatePool frontier (core/candidate_pool.h).
-                     The SMMH frontier types (SymmetricMinMaxHeap,
-                     BoundedMaxHeap) may be named in code only by their
-                     definition (song/bounded_heap.h) and SongSearchCore
-                     (song/search_core.h). Builders, baselines and models
+                     sorted CandidatePool frontier (core/candidate_pool.h),
+                     and so must every frontier class that
+                     song/search_core.h's SongSearchCore instantiates its
+                     Stage 1/2/3 loop with. Builders, baselines and models
                      instantiate those loops instead of writing another
                      copy.
 
@@ -78,6 +77,7 @@ REQUIRED_HOT_REGIONS = {
     "best-first-admit",
     "flight-recorder-record",
     "search-core-pool-admit",
+    "search-core-song-admit",
     "search-core-stage2",
     "serve-batch-form",
 }
@@ -124,13 +124,11 @@ MIN_HEAP_FRONTIER = re.compile(
 SEARCH_LOOP_FILE = os.path.join("src", "graph", "graph_search.h")
 SEARCH_LOOP_DEF = re.compile(r"\bBestFirstSearch\s*\(")
 CANDIDATE_POOL = re.compile(r"\b\w*CandidatePool\b")
-# The SMMH frontier types, and the only files whose code may name them: the
-# definition and the one Stage 1/2/3 loop that runs on them.
-SMMH_FRONTIER = re.compile(r"\b(SymmetricMinMaxHeap|BoundedMaxHeap)\b")
-SMMH_ALLOWED = {
-    os.path.join("src", "song", "bounded_heap.h"),
-    os.path.join("src", "song", "search_core.h"),
-}
+# The file holding SongSearchCore, whose Stage 1/2/3 loop is instantiated
+# once per frontier class (RunSearch<Frontier>); each of those classes must
+# name the sorted candidate pool.
+SONG_CORE_FILE = os.path.join("src", "song", "search_core.h")
+FRONTIER_USE = re.compile(r"\bRunSearch\s*<\s*(?:internal::)?(\w+)")
 
 
 @dataclass
@@ -298,15 +296,6 @@ def lint_file(relpath: str, text: str, seen_hot_regions: set):
                 "min-heap best-first frontier — instantiate BestFirstSearch "
                 "(graph/graph_search.h, on the sorted CandidatePool) "
                 "instead of writing another Algorithm-1 loop"))
-        if relpath not in SMMH_ALLOWED:
-            m = SMMH_FRONTIER.search(code)
-            if m:
-                violations.append(Violation(
-                    "one-search-loop", relpath, lineno,
-                    f"{m.group(1)} frontier outside song/bounded_heap.h and "
-                    "song/search_core.h — run the query through "
-                    "SongSearchCore instead of writing another Algorithm-1 "
-                    "loop"))
 
         # seqlock-discipline: Slot::seq only inside seqlock regions.
         if os.path.basename(relpath).endswith(SEQ_FILES) and not in_seq:
@@ -328,6 +317,18 @@ def lint_file(relpath: str, text: str, seen_hot_regions: set):
     return violations
 
 
+def block_end(code: str, start: int) -> int:
+    """Index just past the brace block opening at code[start] == '{'."""
+    depth = 0
+    j = start
+    while j < len(code):
+        depth += {"{": 1, "}": -1}.get(code[j], 0)
+        j += 1
+        if depth == 0:
+            break
+    return j
+
+
 def check_search_loop(relpath: str, text: str):
     """one-search-loop, tree level: `text` (graph/graph_search.h) must
     define BestFirstSearch, and its body must name the CandidatePool
@@ -346,14 +347,7 @@ def check_search_loop(relpath: str, text: str):
         if not rest.startswith("{"):
             continue
         start = i + (len(code[i:]) - len(rest))
-        depth = 0
-        j = start
-        while j < len(code):
-            depth += {"{": 1, "}": -1}.get(code[j], 0)
-            j += 1
-            if depth == 0:
-                break
-        if CANDIDATE_POOL.search(code[start:j]):
+        if CANDIDATE_POOL.search(code[start:block_end(code, start)]):
             return []
         return [Violation(
             "one-search-loop", relpath, code[:start].count("\n") + 1,
@@ -361,6 +355,36 @@ def check_search_loop(relpath: str, text: str):
             "(core/candidate_pool.h)")]
     return [Violation("one-search-loop", relpath, 0,
                       "no BestFirstSearch definition found")]
+
+
+def check_song_frontiers(relpath: str, text: str):
+    """one-search-loop, tree level: every frontier class `text`
+    (song/search_core.h) runs its Stage 1/2/3 loop with (RunSearch<F>) must
+    be defined there, and its body must name the CandidatePool."""
+    code = "\n".join(c for _, _, c in iter_code_lines(text))
+    names = sorted({m.group(1) for m in FRONTIER_USE.finditer(code)})
+    if not names:
+        return [Violation("one-search-loop", relpath, 0,
+                          "no RunSearch<Frontier> instantiation found")]
+    violations = []
+    for name in names:
+        body = None
+        for m in re.finditer(r"\bclass\s+" + name + r"\b[^;{]*\{", code):
+            start = m.end() - 1
+            body = (code[:m.start()].count("\n") + 1,
+                    code[start:block_end(code, start)])
+        if body is None:
+            violations.append(Violation(
+                "one-search-loop", relpath, 0,
+                f"frontier {name} is not defined in {relpath}"))
+        elif not CANDIDATE_POOL.search(body[1]):
+            violations.append(Violation(
+                "one-search-loop", relpath, body[0],
+                f"SongSearchCore frontier {name} does not run on the "
+                "CandidatePool (core/candidate_pool.h) — keep SONG's queue "
+                "and top-K as partitions of the sorted pool instead of "
+                "hand-written heaps"))
+    return violations
 
 
 def lint_tree(root: str):
@@ -384,6 +408,14 @@ def lint_tree(root: str):
     except OSError:
         violations.append(Violation(
             "one-search-loop", SEARCH_LOOP_FILE, 0, "file missing"))
+    # one-search-loop: SongSearchCore's frontiers run on the CandidatePool.
+    try:
+        with open(os.path.join(root, SONG_CORE_FILE), "r",
+                  encoding="utf-8") as f:
+            violations.extend(check_song_frontiers(SONG_CORE_FILE, f.read()))
+    except OSError:
+        violations.append(Violation(
+            "one-search-loop", SONG_CORE_FILE, 0, "file missing"))
 
     # hot-path: the load-bearing regions must exist.
     for name in sorted(REQUIRED_HOT_REGIONS - seen_hot_regions):
@@ -443,7 +475,7 @@ def self_test() -> int:
     run_one("bad_seqlock.flight_recorder.cc", ["seqlock-discipline"])
     run_one("bad_unterminated.cc", ["hot-path"])
     run_one("bad_search_loop.cc", ["one-search-loop"])
-    run_one("bad_smmh_loop.cc", ["one-search-loop"])
+    run_one("bad_song_frontier.cc", [])
     run_one("good_clean.cc", [])
 
     # A heap-based BestFirstSearch must fail the tree-level check, and the
@@ -456,15 +488,17 @@ def self_test() -> int:
             "bad_search_loop.cc: a BestFirstSearch without the "
             f"CandidatePool was not flagged ({[str(v) for v in got]})")
 
-    # Both planted SMMH uses are flagged; the comment and string are not.
-    with open(os.path.join(fixtures, "bad_smmh_loop.cc"), "r",
+    # Of the two frontiers the planted SongSearchCore instantiates, the
+    # heap-based one is flagged at its definition; the pool-based one, and
+    # the CandidatePool named only in a comment and a string, are not.
+    with open(os.path.join(fixtures, "bad_song_frontier.cc"), "r",
               encoding="utf-8") as f:
-        got = lint_file(os.path.join("src", "fixture", "bad_smmh_loop.cc"),
-                        f.read(), set())
-    if len(got) != 2:
+        got = check_song_frontiers("bad_song_frontier.cc", f.read())
+    if (len(got) != 1 or got[0].line == 0
+            or "HeapFrontier" not in got[0].message):
         failures.append(
-            "bad_smmh_loop.cc: expected exactly the 2 planted SMMH uses "
-            f"flagged, got {[str(v) for v in got]}")
+            "bad_song_frontier.cc: expected exactly the heap-based "
+            f"HeapFrontier flagged, got {[str(v) for v in got]}")
 
     # The real tree must carry the required hot-path regions.
     root = os.path.normpath(os.path.join(here, "..", ".."))
@@ -483,7 +517,7 @@ def self_test() -> int:
             print("  " + f)
         return 1
     print("song_lint self-test passed "
-          "(9 fixtures, required regions and pool-based search loop "
+          "(9 fixtures, required regions and pool-based search loops "
           "present).")
     return 0
 
