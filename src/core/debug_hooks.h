@@ -32,6 +32,12 @@ inline bool hash_table_ignore_capacity = false;
 /// reachability probe (tests/harness/selftest_test.cc).
 inline bool mutation_drop_reverse_links = false;
 
+/// Planted mutation E: SongSearchCore's round 0 skips the last id of its
+/// seed list, so a search starts from one seed fewer than it was handed (a
+/// one-seed search starts from nothing and returns nothing). The search
+/// differential must see the missing seed's distance computation.
+inline bool search_drop_last_seed = false;
+
 /// RAII guard so a failing self-test cannot leak an enabled fault into
 /// subsequent tests.
 class ScopedFault {

@@ -6,12 +6,13 @@ HashedSongIndex::HashedSongIndex(const BinaryCodes* codes,
                                  const FixedDegreeGraph* graph,
                                  const RandomProjection* projection,
                                  idx_t entry)
-    : codes_(codes), graph_(graph), projection_(projection), entry_(entry) {
+    : codes_(codes), graph_(graph), projection_(projection) {
   SONG_CHECK(codes != nullptr && graph != nullptr && projection != nullptr);
   SONG_CHECK_MSG(codes->num() == graph->num_vertices(),
                  "codes / graph size mismatch");
   SONG_CHECK(projection->bits() == codes->bits());
   SONG_CHECK(entry < codes->num());
+  seeds_ = SeedList(codes->num(), graph->degree(), entry);
 }
 
 std::vector<Neighbor> HashedSongIndex::Search(const float* query, size_t k,
@@ -32,7 +33,7 @@ std::vector<Neighbor> HashedSongIndex::Search(const float* query, size_t k,
   const size_t point_bytes = codes_->bits() / 8;
   const BinaryCodes& codes = *codes_;
   return SongSearchCore(
-      *graph_, entry_, codes.num(), point_bytes,
+      *graph_, seeds_, codes.num(), point_bytes,
       [&](idx_t v) {
         return static_cast<float>(HammingDistance(qc, codes.Row(v), words));
       },

@@ -22,7 +22,8 @@ namespace song {
 class HashedSongIndex {
  public:
   /// `codes` and `graph` must outlive the index; `projection` hashes queries
-  /// at search time.
+  /// at search time. Searches start from SeedList(codes->num(),
+  /// graph->degree(), entry), built once here.
   HashedSongIndex(const BinaryCodes* codes, const FixedDegreeGraph* graph,
                   const RandomProjection* projection, idx_t entry = 0);
 
@@ -49,7 +50,7 @@ class HashedSongIndex {
   const BinaryCodes* codes_;
   const FixedDegreeGraph* graph_;
   const RandomProjection* projection_;
-  idx_t entry_;
+  std::vector<idx_t> seeds_;  ///< SeedList, scored as round 0
 };
 
 }  // namespace song

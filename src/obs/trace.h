@@ -23,8 +23,9 @@
 namespace song::obs {
 
 /// Counter deltas and occupancy snapshot for one main-loop iteration.
-/// Row 0 is the pipeline's entry initialization (one distance computation,
-/// one visited insert, one queue push); rows 1..n are loop iterations.
+/// Row 0 is the seed round: its `candidates` and `dist_comps` are the
+/// claimed seeds S, with up to S visited inserts and queue pushes and no
+/// graph row, pop or visited test; rows 1..n are loop iterations.
 ///
 /// Fields name SONG's `q` and `topk`. Under the CPU preset's CandidatePool
 /// frontier (song/search_core.h) one sorted pool plays both roles; the

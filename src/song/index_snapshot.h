@@ -35,8 +35,9 @@ namespace song {
 
 class IndexSnapshot {
  public:
-  /// `tombstones->size()` must equal `data->num()`; entry 0 is the search
-  /// entry vertex MutableIndex maintains reachability from. Built only by
+  /// `tombstones->size()` must equal `data->num()`; `entry` (0 under
+  /// MutableIndex) is the reachability anchor MutableIndex maintains, always
+  /// the first seed of the searcher's SeedList. Built only by
   /// MutableIndex (and tests); readers receive it as shared_ptr<const>.
   IndexSnapshot(std::shared_ptr<const Dataset> data,
                 std::shared_ptr<const FixedDegreeGraph> graph,

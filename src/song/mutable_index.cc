@@ -203,8 +203,12 @@ void MutableIndex::LinkNewVertex(const Dataset& data, FixedDegreeGraph* graph,
   const auto distance = [&](idx_t u) { return bd.Compute(point, norm_sqr, u); };
   SongSearchOptions opts = SongSearchOptions::CpuEngineered();
   opts.queue_size = std::max(options_.ef_construction, m);
+  // The entry alone seeds the link-time search, not SeedList: online inserts
+  // keep linking the edges the single-entry search found (BuildDigest pins
+  // them).
+  const idx_t seeds[] = {entry};
   const std::vector<Neighbor> found = SongSearchCore(
-      *graph, entry, data.num(), data.dim() * sizeof(float), distance,
+      *graph, seeds, data.num(), data.dim() * sizeof(float), distance,
       /*k=*/opts.queue_size, opts, &link_workspace_, /*stats=*/nullptr);
 
   // found is ascending (dist, id) — exactly the sorted pool the occlusion

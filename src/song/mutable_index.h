@@ -74,7 +74,8 @@ class MutableIndex {
   /// Adopts a pre-built frozen index (e.g. NswBuilder output) as version 1.
   /// Only valid while the index is still empty; the graph's degree
   /// overrides options.degree so online links match the adopted rows. The
-  /// entry vertex is 0 (the NswBuilder reachability anchor). The adopted
+  /// entry vertex is 0, the NswBuilder reachability anchor and always the
+  /// first seed of every snapshot search. The adopted
   /// graph is published untouched, so with no mutations, snapshot searches
   /// are bit-identical to a SongSearcher over the same data and graph.
   Status AdoptFrozen(Dataset data, FixedDegreeGraph graph)

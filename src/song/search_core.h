@@ -10,10 +10,12 @@
 #define SONG_SONG_SEARCH_CORE_H_
 
 #include <algorithm>
+#include <span>
 #include <type_traits>
 #include <vector>
 
 #include "core/candidate_pool.h"
+#include "core/debug_hooks.h"
 #include "core/epoch_visited_set.h"
 #include "core/timer.h"
 #include "core/types.h"
@@ -39,6 +41,30 @@ class SongWorkspace {
   std::vector<idx_t> rerank_ids;
   std::vector<float> rerank_dists;
 };
+
+/// The seed list a searcher over `num_points` vertices of a degree-`degree`
+/// graph scores as round 0 (docs/algorithms.md, "Seeding"): `entry` first,
+/// then the grid vertices floor(i * num_points / degree) for i = 1, ...,
+/// degree - 1 and finally i = 0, duplicates dropped, min(degree, num_points)
+/// ids in all. One Stage-2 batch of candidates spread evenly over the id
+/// range; `entry` stays in the list because it is the vertex every other one
+/// is kept reachable from (NswBuilder::RepairConnectivity).
+inline std::vector<idx_t> SeedList(size_t num_points, size_t degree,
+                                   idx_t entry) {
+  std::vector<idx_t> seeds;
+  if (num_points == 0) return seeds;
+  degree = std::max<size_t>(degree, 1);
+  const size_t count = std::min(degree, num_points);
+  seeds.reserve(count);
+  seeds.push_back(entry);
+  for (size_t i = 1; i <= degree && seeds.size() < count; ++i) {
+    const idx_t v = static_cast<idx_t>(i % degree * num_points / degree);
+    if (std::find(seeds.begin(), seeds.end(), v) == seeds.end()) {
+      seeds.push_back(v);
+    }
+  }
+  return seeds;
+}
 
 namespace internal {
 
@@ -128,14 +154,6 @@ class SongFrontier {
     // The kernel's fixed layout: the min-max heap q (ef + 2 slots) and
     // topk (ef).
     local->queue_bytes = (ef + 2 + ef) * sizeof(Neighbor);
-  }
-
-  void Start(const Neighbor& entry, SearchStats& local) {
-    visited_.Insert(entry.id);
-    ++local.visited_insertions;
-    idx_t evicted = kInvalidIdx;
-    queue_.PushUnexpanded(entry, &evicted);
-    ++local.q_pushes;
   }
 
   bool HasNext() const { return queue_.HasUnexpanded(); }
@@ -273,14 +291,6 @@ class PoolFrontier {
     local->queue_bytes = pool_.MemoryBytes();
   }
 
-  void Start(const Neighbor& entry, SearchStats& local) {
-    visited_.Insert(entry.id);
-    ++local.visited_insertions;
-    size_t evicted = 0;
-    pool_.Insert(entry, &evicted);
-    ++local.q_pushes;
-  }
-
   bool HasNext() const { return pool_.HasUnexpanded(); }
   idx_t PeekNext() const { return pool_.Next().id; }
 
@@ -338,7 +348,8 @@ class PoolFrontier {
 /// The work counters are this loop's `local`; each frontier call updates
 /// them through the reference it is handed.
 template <typename Frontier, typename DistanceFn>
-std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
+std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph,
+                                std::span<const idx_t> seeds,
                                 size_t num_points, size_t point_bytes,
                                 DistanceFn& distance, size_t k,
                                 const SongSearchOptions& options,
@@ -349,12 +360,13 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
   Frontier frontier(workspace, options, ef, num_points, &local);
   const size_t degree = graph.degree();
   const size_t multi_step = std::max<size_t>(1, options.multi_step_probe);
+  const size_t max_batch = std::max(degree * multi_step, seeds.size());
   std::vector<idx_t>& candidates = workspace->candidates;
   std::vector<float>& dists = workspace->dists;
   candidates.clear();
-  candidates.reserve(degree * multi_step);
+  candidates.reserve(max_batch);
   dists.clear();
-  dists.reserve(degree * multi_step);
+  dists.reserve(max_batch);
 
   if (trace != nullptr) {
     trace->k = static_cast<uint32_t>(k);
@@ -363,94 +375,100 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
     trace->rows.clear();
   }
 
-  const float entry_dist = distance(entry);
-  ++local.distance_computations;
-  local.data_bytes_loaded += point_bytes;
-  frontier.Start(Neighbor(entry_dist, entry), local);
-
-  if (trace != nullptr) {
-    // Row 0: entry initialization (one distance, one insert, one push).
-    AppendTraceRow(trace, 0, SearchStats{}, local, frontier.frontier_size(),
-                   frontier.topk_size(), frontier.visited_size(),
-                   /*candidates=*/1);
+  // Round 0: the seed list stands in for an adjacency row. Its claimed
+  // seeds (duplicates drop out) go through the same Stage 2 and Stage 3 as
+  // every later round; the round counts no iteration and no visited test.
+  if (hooks::search_drop_last_seed && !seeds.empty()) {
+    seeds = seeds.first(seeds.size() - 1);
+  }
+  for (const idx_t s : seeds) {
+    if (!frontier.Claim(s, candidates, local)) continue;
+    candidates.push_back(s);
+    if constexpr (requires { distance.Prefetch(s); }) {
+      distance.Prefetch(s);
+    }
   }
 
-  // --- Main loop: one 3-stage round per iteration. ---
   const bool has_deadline = options.deadline_us > 0;
   const bool has_cost_budget = options.cost_budget > 0;
   Timer deadline_timer;  // only consulted when has_deadline
   bool budget_exhausted = false;
-  SearchStats iter_start;
-  while (frontier.HasNext()) {
-    // Budget gate: graceful degradation returns the best-so-far top-k
-    // instead of running the frontier dry. Cost units are deterministic;
-    // the wall-clock deadline is the serving-layer knob.
-    if (has_cost_budget &&
-        local.distance_computations >= options.cost_budget) {
-      budget_exhausted = true;
-      if (trace != nullptr) {
-        trace->termination = obs::TraceTermination::kCostBudget;
-      }
-      break;
-    }
-    if (has_deadline &&
-        deadline_timer.ElapsedMicros() >=
-            static_cast<double>(options.deadline_us)) {
-      budget_exhausted = true;
-      if (trace != nullptr) {
-        trace->termination = obs::TraceTermination::kDeadline;
-      }
-      break;
-    }
-    ++local.iterations;
-    if (trace != nullptr) iter_start = local;
-
-    // ---- Stage 1: candidate locating. ----
-    candidates.clear();
-    bool terminate = false;
-    for (size_t step = 0; step < multi_step && frontier.HasNext(); ++step) {
-      Neighbor now;
-      if (!frontier.PopNext(&now, local)) {
-        if (step == 0) terminate = true;
+  SearchStats round_start;  // all zero for round 0
+  // One round per pass. Round 0 skips Stage 1: its batch is the seeds.
+  for (bool seed_round = true;; seed_round = false) {
+    if (!seed_round) {
+      if (!frontier.HasNext()) break;
+      // Budget gate: graceful degradation returns the best-so-far top-k
+      // instead of running the frontier dry. Cost units are deterministic;
+      // the wall-clock deadline is the serving-layer knob.
+      if (has_cost_budget &&
+          local.distance_computations >= options.cost_budget) {
+        budget_exhausted = true;
+        if (trace != nullptr) {
+          trace->termination = obs::TraceTermination::kCostBudget;
+        }
         break;
       }
-      ++local.q_pops;
-      ++local.vertices_expanded;
+      if (has_deadline &&
+          deadline_timer.ElapsedMicros() >=
+              static_cast<double>(options.deadline_us)) {
+        budget_exhausted = true;
+        if (trace != nullptr) {
+          trace->termination = obs::TraceTermination::kDeadline;
+        }
+        break;
+      }
+      ++local.iterations;
+      if (trace != nullptr) round_start = local;
 
-      const idx_t* row = graph.Row(now.id);
-      ++local.graph_rows_loaded;
-      local.graph_bytes_loaded += degree * sizeof(idx_t);
-      for (size_t i = 0; i < degree && row[i] != kInvalidIdx; ++i) {
-        const idx_t v = row[i];
-        ++local.visited_tests;
-        if (!frontier.Claim(v, candidates, local)) continue;
-        candidates.push_back(v);
-        if constexpr (requires { distance.Prefetch(v); }) {
-          distance.Prefetch(v);
+      // ---- Stage 1: candidate locating. ----
+      candidates.clear();
+      bool terminate = false;
+      for (size_t step = 0; step < multi_step && frontier.HasNext(); ++step) {
+        Neighbor now;
+        if (!frontier.PopNext(&now, local)) {
+          if (step == 0) terminate = true;
+          break;
+        }
+        ++local.q_pops;
+        ++local.vertices_expanded;
+
+        const idx_t* row = graph.Row(now.id);
+        ++local.graph_rows_loaded;
+        local.graph_bytes_loaded += degree * sizeof(idx_t);
+        for (size_t i = 0; i < degree && row[i] != kInvalidIdx; ++i) {
+          const idx_t v = row[i];
+          ++local.visited_tests;
+          if (!frontier.Claim(v, candidates, local)) continue;
+          candidates.push_back(v);
+          if constexpr (requires { distance.Prefetch(v); }) {
+            distance.Prefetch(v);
+          }
         }
       }
-    }
-    // Hint the next frontier row one hop ahead: Stage 2/3 run long enough
-    // to cover the adjacency-row load of the next Stage 1 round.
-    if (frontier.HasNext()) {
-      graph.PrefetchRow(frontier.PeekNext());
-    }
-    if (terminate || candidates.empty()) {
-      if (trace != nullptr) {
-        AppendTraceRow(trace, static_cast<uint32_t>(local.iterations),
-                       iter_start, local, frontier.frontier_size(),
-                       frontier.topk_size(), frontier.visited_size(),
-                       candidates.size());
+      // Hint the next frontier row one hop ahead: Stage 2/3 run long enough
+      // to cover the adjacency-row load of the next Stage 1 round.
+      if (frontier.HasNext()) {
+        graph.PrefetchRow(frontier.PeekNext());
       }
-      if (terminate) break;
-      continue;
+      if (terminate || candidates.empty()) {
+        if (trace != nullptr) {
+          AppendTraceRow(trace, static_cast<uint32_t>(local.iterations),
+                         round_start, local, frontier.frontier_size(),
+                         frontier.topk_size(), frontier.visited_size(),
+                         candidates.size());
+        }
+        if (terminate) break;
+        continue;
+      }
     }
 
     // ---- Stage 2: bulk distance computation. ----
     // The per-iteration inner loop every candidate funnels through; kept
     // free of heap allocation and logging (song_lint.py rule `hot-path`;
-    // the resize below never allocates — capacity for degree * multi_step
-    // entries is reserved before the loop).
+    // the resize below never allocates — capacity for the largest batch,
+    // the seed list or degree * multi_step entries, is reserved before the
+    // loop).
     // song-lint: begin-hot-path(search-core-stage2)
     dists.resize(candidates.size());
     if constexpr (requires {
@@ -472,8 +490,9 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
     frontier.Admit(candidates.data(), dists.data(), candidates.size(), local);
 
     if (trace != nullptr) {
+      // Row 0 is the seed round: its candidates are the claimed seeds.
       AppendTraceRow(trace, static_cast<uint32_t>(local.iterations),
-                     iter_start, local, frontier.frontier_size(),
+                     round_start, local, frontier.frontier_size(),
                      frontier.topk_size(), frontier.visited_size(),
                      candidates.size());
     }
@@ -490,6 +509,14 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
 
 /// Runs the decoupled search (candidate locating -> bulk distance ->
 /// maintenance) and returns the k closest vertices found, ascending.
+///
+/// The search starts from `seeds` (SeedList for every searcher; any ids,
+/// duplicates allowed): round 0 claims, scores and admits them exactly as a
+/// later round does one adjacency row, so it costs one Stage-2 batch and
+/// the §IV-C/D/E rules already apply to it. A one-id list `{entry}` is the
+/// classic single-entry search. Round 0 counts its distances, their bytes
+/// and its visited insertions and queue pushes, but no iteration and no
+/// visited test.
 ///
 /// The frontier is a compile-time policy of the one Stage 1/2/3 loop, and
 /// both frontiers are sorted candidate pools. The CPU preset
@@ -527,7 +554,8 @@ std::vector<Neighbor> RunSearch(const FixedDegreeGraph& graph, idx_t entry,
 ///    gather latency.
 template <typename DistanceFn>
 std::vector<Neighbor> SongSearchCore(const FixedDegreeGraph& graph,
-                                     idx_t entry, size_t num_points,
+                                     std::span<const idx_t> seeds,
+                                     size_t num_points,
                                      size_t point_bytes, DistanceFn&& distance,
                                      size_t k,
                                      const SongSearchOptions& options,
@@ -537,16 +565,16 @@ std::vector<Neighbor> SongSearchCore(const FixedDegreeGraph& graph,
                                      bool* degraded = nullptr) {
   if (internal::UsesCandidatePool(options)) {
     return internal::RunSearch<internal::PoolFrontier>(
-        graph, entry, num_points, point_bytes, distance, k, options, workspace,
+        graph, seeds, num_points, point_bytes, distance, k, options, workspace,
         stats, trace, degraded);
   }
   if (IsExactVisited(options.structure)) {
     return internal::RunSearch<internal::SongFrontier<CappedEpochSet>>(
-        graph, entry, num_points, point_bytes, distance, k, options, workspace,
+        graph, seeds, num_points, point_bytes, distance, k, options, workspace,
         stats, trace, degraded);
   }
   return internal::RunSearch<internal::SongFrontier<VisitedTable&>>(
-      graph, entry, num_points, point_bytes, distance, k, options, workspace,
+      graph, seeds, num_points, point_bytes, distance, k, options, workspace,
       stats, trace, degraded);
 }
 

@@ -55,6 +55,7 @@ SongSearcher::SongSearcher(const Dataset* data, const FixedDegreeGraph* graph,
   SONG_CHECK_MSG(data->num() == graph->num_vertices(),
                  "dataset / graph size mismatch");
   SONG_CHECK(entry < data->num());
+  seeds_ = SeedList(data->num(), graph->degree(), entry);
 }
 
 void SongSearcher::SetResultIdMap(std::vector<idx_t> new_to_old) {
@@ -84,7 +85,7 @@ std::vector<Neighbor> SongSearcher::Search(const float* query, size_t k,
     return SearchPq(query, k, options, workspace, stats, trace, degraded);
   }
   std::vector<Neighbor> result = SongSearchCore(
-      *graph_, entry_, data.num(), data.dim() * sizeof(float), distance, k,
+      *graph_, seeds_, data.num(), data.dim() * sizeof(float), distance, k,
       options, workspace, stats, trace, degraded);
   if (!result_id_map_.empty()) {
     for (Neighbor& n : result) n.id = result_id_map_[n.id];
@@ -129,7 +130,7 @@ std::vector<Neighbor> SongSearcher::SearchPq(const float* query, size_t k,
   const size_t pool = RerankPoolSize(k, options);
   const PqAdcDistanceFn distance{&pqd, workspace->adc_table.data()};
   std::vector<Neighbor> result = SongSearchCore(
-      *graph_, entry_, data_->num(), pqd.code_bytes(), distance, pool, options,
+      *graph_, seeds_, data_->num(), pqd.code_bytes(), distance, pool, options,
       workspace, stats, trace, degraded);
 
   // Exact rerank: rescore the surviving pool with full-precision vectors and

@@ -35,8 +35,9 @@ namespace song {
 
 class SongSearcher {
  public:
-  /// `data` and `graph` must outlive the searcher. `entry` is the default
-  /// starting vertex of Algorithm 1.
+  /// `data` and `graph` must outlive the searcher. Every search starts from
+  /// SeedList(data->num(), graph->degree(), entry), built once here: `entry`
+  /// (the reachability anchor) first, then vertices spread over the id range.
   SongSearcher(const Dataset* data, const FixedDegreeGraph* graph,
                Metric metric, idx_t entry = 0);
 
@@ -138,6 +139,7 @@ class SongSearcher {
   const FixedDegreeGraph* graph_;
   Metric metric_;
   idx_t entry_;
+  std::vector<idx_t> seeds_;         ///< SeedList, scored as round 0
   BatchDistance batch_dist_;         ///< fused Stage 2 kernel + cached norms
   std::vector<idx_t> result_id_map_; ///< new -> old, empty = identity
   std::unique_ptr<PqBatchDistance> pq_dist_;  ///< null until EnablePq

@@ -473,6 +473,7 @@ struct FuzzInstance {
   FixedDegreeGraph graph;
   Metric metric = Metric::kL2;
   idx_t entry = 0;
+  std::vector<idx_t> seeds;  ///< round 0's list; seeds[0] == entry
   size_t k = 1;
   SongSearchOptions options;
 };
@@ -544,6 +545,22 @@ FuzzInstance MakeInstance(RandomEngine& rng, VisitedStructure structure) {
     inst.options.bloom_bits =
         rng.NextUint(2) == 0 ? 0 : (1024u << rng.NextUint(4));
   }
+  // Seed lists (drawn last, so the draws above keep their instances): one
+  // in four is the searchers' SeedList; the rest hold 1 to 2 * degree ids
+  // after the entry, with repeats of the entry and of earlier seeds.
+  if (rng.NextUint(4) == 0) {
+    inst.seeds = SeedList(n, degree, inst.entry);
+  } else {
+    const size_t len = 1 + rng.NextUint(2 * degree);
+    inst.seeds.push_back(inst.entry);
+    while (inst.seeds.size() < len) {
+      const size_t pick = rng.NextUint(8);
+      inst.seeds.push_back(
+          pick == 0   ? inst.entry
+          : pick == 1 ? inst.seeds[rng.NextUint(inst.seeds.size())]
+                      : static_cast<idx_t>(rng.NextUint(n)));
+    }
+  }
   return inst;
 }
 
@@ -551,7 +568,8 @@ std::string DescribeInstance(const FuzzInstance& inst) {
   std::ostringstream os;
   os << "[n=" << inst.points.num() << " dim=" << inst.points.dim()
      << " degree=" << inst.graph.degree() << " metric="
-     << MetricName(inst.metric) << " entry=" << inst.entry << " k=" << inst.k
+     << MetricName(inst.metric) << " entry=" << inst.entry
+     << " seeds=" << inst.seeds.size() << " k=" << inst.k
      << " queue=" << inst.options.queue_size
      << " sel=" << inst.options.selected_insertion
      << " del=" << inst.options.visited_deletion
@@ -600,7 +618,7 @@ DifferentialReport FuzzSearchDifferential(VisitedStructure structure,
 
     SearchStats stats;
     const std::vector<Neighbor> got =
-        SongSearchCore(inst.graph, inst.entry, n, dim * sizeof(float),
+        SongSearchCore(inst.graph, inst.seeds, n, dim * sizeof(float),
                        distance, inst.k, inst.options, &workspace, &stats);
 
     const size_t ef = std::max(inst.options.queue_size, inst.k);
@@ -609,7 +627,7 @@ DifferentialReport FuzzSearchDifferential(VisitedStructure structure,
             ? internal::AutoHashCapacity(inst.options, ef, n)
             : 0;
     const ReferenceSearchResult want = ReferenceSongSearch(
-        inst.graph, inst.entry, inst.k, inst.options, oracle_capacity,
+        inst.graph, inst.seeds, inst.k, inst.options, oracle_capacity,
         pure_distance);
 
     ++report.checks;
@@ -677,7 +695,7 @@ DifferentialReport FuzzProbabilisticSearchSanity(VisitedStructure structure,
     };
 
     const std::vector<Neighbor> got =
-        SongSearchCore(inst.graph, inst.entry, n, dim * sizeof(float),
+        SongSearchCore(inst.graph, inst.seeds, n, dim * sizeof(float),
                        distance, inst.k, inst.options, &workspace, nullptr);
 
     bool round_ok = true;
@@ -717,7 +735,7 @@ DifferentialReport FuzzProbabilisticSearchSanity(VisitedStructure structure,
     exact.structure = VisitedStructure::kHashTable;
     exact.hash_capacity = n + 1;
     const std::vector<Neighbor> exact_got =
-        SongSearchCore(inst.graph, inst.entry, n, dim * sizeof(float),
+        SongSearchCore(inst.graph, inst.seeds, n, dim * sizeof(float),
                        distance, inst.k, exact, &workspace, nullptr);
     const std::vector<Neighbor> gt = BruteForceTopK(n, inst.k, distance);
     recall_prob += RecallAgainst(got, gt);
@@ -1030,8 +1048,12 @@ DifferentialReport FuzzMutationDifferential(VisitedStructure structure,
 
         if (exact) {
           // Full mirror: reference search at the compensated k over the
-          // snapshot graph, then the identical tombstone filter + truncate.
+          // snapshot graph from the searcher's seed list, then the identical
+          // tombstone filter + truncate.
           const size_t k_eff = snapshot->CompensatedK(k);
+          const std::vector<idx_t> seeds =
+              SeedList(snapshot->num_points(), snapshot->graph().degree(),
+                       snapshot->entry());
           const size_t ef = std::max(options.queue_size, k_eff);
           const size_t cap =
               structure == VisitedStructure::kHashTable
@@ -1039,8 +1061,8 @@ DifferentialReport FuzzMutationDifferential(VisitedStructure structure,
                                                snapshot->num_points())
                   : 0;
           const ReferenceSearchResult ref =
-              ReferenceSongSearch(snapshot->graph(), snapshot->entry(), k_eff,
-                                  options, cap, mirror);
+              ReferenceSongSearch(snapshot->graph(), seeds, k_eff, options,
+                                  cap, mirror);
           std::vector<Neighbor> want;
           want.reserve(std::min(k, ref.results.size()));
           for (const Neighbor& n : ref.results) {

@@ -10,7 +10,7 @@
 namespace song::harness {
 
 ReferenceSearchResult ReferenceSongSearch(
-    const FixedDegreeGraph& graph, idx_t entry, size_t k,
+    const FixedDegreeGraph& graph, std::span<const idx_t> seeds, size_t k,
     const SongSearchOptions& options, size_t visited_capacity,
     const std::function<float(idx_t)>& distance) {
   const size_t ef = std::max(options.queue_size, k);
@@ -27,10 +27,45 @@ ReferenceSearchResult ReferenceSongSearch(
 
   ReferenceSearchResult out;
 
-  const float entry_dist = distance(entry);
-  out.visit_order.push_back(entry);
-  visited.Insert(entry);
-  q.Push(Neighbor(entry_dist, entry));
+  // Stage 2 then Stage 3 over this round's candidates.
+  const auto score_and_admit = [&] {
+    std::vector<float> dists(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      dists[i] = distance(candidates[i]);
+      out.visit_order.push_back(candidates[i]);
+    }
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const Neighbor cand(dists[i], candidates[i]);
+      if (options.selected_insertion && topk.full() &&
+          cand.dist > topk.Max().dist) {
+        continue;  // §IV-D filter
+      }
+      if (!visited.Insert(cand.id)) {
+        ++out.visited_insert_failures;
+        continue;  // saturated structure: treated as visited
+      }
+      Neighbor evicted;
+      const bool had_eviction = q.full();
+      const bool accepted = q.PushBounded(cand, &evicted);
+      if (!accepted) {
+        if (deletion_ok) visited.Erase(cand.id);
+        continue;
+      }
+      if (had_eviction && deletion_ok) {
+        visited.Erase(evicted.id);
+      }
+    }
+  };
+
+  // Round 0: the seeds, each once and in order, in place of an adjacency
+  // row. The visited set is still empty, so only repeats drop out.
+  for (const idx_t s : seeds) {
+    if (std::find(candidates.begin(), candidates.end(), s) ==
+        candidates.end()) {
+      candidates.push_back(s);
+    }
+  }
+  score_and_admit();
 
   while (!q.empty()) {
     ++out.iterations;
@@ -70,35 +105,8 @@ ReferenceSearchResult ReferenceSongSearch(
     ++out.expansion_rounds;
     if (candidates.empty()) continue;
 
-    // Stage 2: bulk distance computation.
-    std::vector<float> dists(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      dists[i] = distance(candidates[i]);
-      out.visit_order.push_back(candidates[i]);
-    }
-
-    // Stage 3: maintenance.
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const Neighbor cand(dists[i], candidates[i]);
-      if (options.selected_insertion && topk.full() &&
-          cand.dist > topk.Max().dist) {
-        continue;  // §IV-D filter
-      }
-      if (!visited.Insert(cand.id)) {
-        ++out.visited_insert_failures;
-        continue;  // saturated structure: treated as visited
-      }
-      Neighbor evicted;
-      const bool had_eviction = q.full();
-      const bool accepted = q.PushBounded(cand, &evicted);
-      if (!accepted) {
-        if (deletion_ok) visited.Erase(cand.id);
-        continue;
-      }
-      if (had_eviction && deletion_ok) {
-        visited.Erase(evicted.id);
-      }
-    }
+    // Stage 2 (bulk distance computation) and Stage 3 (maintenance).
+    score_and_admit();
   }
 
   out.results = topk.Sorted();

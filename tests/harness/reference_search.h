@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -26,17 +27,19 @@ namespace song::harness {
 struct ReferenceSearchResult {
   std::vector<Neighbor> results;    ///< final top-k, ascending
   std::vector<idx_t> visit_order;   ///< every distance computation, in order
-  size_t iterations = 0;            ///< main-loop rounds
+  size_t iterations = 0;            ///< main-loop rounds (round 0 excluded)
   size_t expansion_rounds = 0;      ///< rounds that expanded a vertex: all
                                     ///< but a final round that terminates
   size_t visited_insert_failures = 0;
 };
 
-/// Runs the reference search. `visited_capacity` = 0 models an unbounded
-/// exact visited set; pass internal::AutoHashCapacity(...) to model the
-/// saturation behaviour of the bounded GPU hash table exactly.
+/// Runs the reference search from `seeds` (round 0: each seed scored once,
+/// in order, then admitted under the queue rules like a later round's
+/// candidates). `visited_capacity` = 0 models an unbounded exact visited
+/// set; pass internal::AutoHashCapacity(...) to model the saturation
+/// behaviour of the bounded GPU hash table exactly.
 ReferenceSearchResult ReferenceSongSearch(
-    const FixedDegreeGraph& graph, idx_t entry, size_t k,
+    const FixedDegreeGraph& graph, std::span<const idx_t> seeds, size_t k,
     const SongSearchOptions& options, size_t visited_capacity,
     const std::function<float(idx_t)>& distance);
 

@@ -160,5 +160,26 @@ TEST(HarnessSelfTest, DetectsPlantedHashTableIgnoredCapacity) {
   EXPECT_EQ(search.failures, 0u) << search.first_divergence;
 }
 
+TEST(HarnessSelfTest, DetectsPlantedDroppedLastSeed) {
+  // The planted mutation makes round 0 skip the last seed. The search
+  // differential scores every seed in the reference, so the first visit
+  // order that names the dropped seed diverges; a one-seed list loses its
+  // entry and the whole search.
+  for (const VisitedStructure structure :
+       {VisitedStructure::kEpochArray, VisitedStructure::kHashTable}) {
+    {
+      hooks::ScopedFault fault(&hooks::search_drop_last_seed);
+      const DifferentialReport search =
+          FuzzSearchDifferential(structure, BaseSeed(), kRounds);
+      EXPECT_GT(search.failures, 0u)
+          << "search differential failed to detect the dropped last seed on "
+          << VisitedStructureName(structure);
+    }
+    const DifferentialReport search =
+        FuzzSearchDifferential(structure, BaseSeed(), kRounds);
+    EXPECT_EQ(search.failures, 0u) << search.first_divergence;
+  }
+}
+
 }  // namespace
 }  // namespace song::harness

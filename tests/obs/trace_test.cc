@@ -102,8 +102,17 @@ TEST(SearchTrace, RowsTelescopeToSearchStats) {
       searcher.Search(gen.queries.Row(static_cast<idx_t>(q)), 10, options,
                       &ws, &stats, &trace);
 
-      // Row 0 is entry init; rows 1..n are the loop iterations.
+      // Row 0 is the seed round; rows 1..n are the loop iterations.
       ASSERT_EQ(trace.Hops(), stats.iterations);
+      const obs::TraceIterationRow& seed_row = trace.rows.front();
+      const size_t num_seeds =
+          SeedList(gen.points.num(), graph.degree(), searcher.entry()).size();
+      EXPECT_EQ(seed_row.iteration, 0u);
+      EXPECT_EQ(seed_row.candidates, num_seeds);
+      EXPECT_EQ(seed_row.dist_comps, num_seeds);
+      EXPECT_EQ(seed_row.rows_loaded, 0u);
+      EXPECT_EQ(seed_row.q_pops, 0u);
+      EXPECT_EQ(seed_row.visited_tests, 0u);
       EXPECT_EQ(trace.k, 10u);
       EXPECT_EQ(trace.config, options.Name());
 

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -219,6 +220,59 @@ TEST(ServeServer, ResultsMatchDirectEngineRun) {
   const ServeCounterSnapshot c = server.counters();
   EXPECT_EQ(c.accepted, fx.queries.num());
   EXPECT_EQ(c.ok, fx.queries.num());
+  ExpectConservation(server);
+}
+
+TEST(ServeServer, LoadedFilesServeTheInProcessSearchersIds) {
+  // song_server loads the .sngd / .sngg files and serves
+  // SongSearcher(&data, &graph, metric, /*entry=*/0) under the seldel
+  // preset. Its answers must be exactly the ids of the default in-process
+  // SongSearcher over the original data and graph: both start from the same
+  // seed list.
+  const ServeFixture& fx = ServeFixture::Get();
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string stem = "song_serve_files_" + std::to_string(::getpid());
+  const std::string data_path = (dir / (stem + ".sngd")).string();
+  const std::string graph_path = (dir / (stem + ".sngg")).string();
+  ASSERT_TRUE(fx.data.Save(data_path).ok());
+  ASSERT_TRUE(fx.graph.Save(graph_path).ok());
+  StatusOr<Dataset> data = Dataset::Load(data_path);
+  StatusOr<FixedDegreeGraph> graph = FixedDegreeGraph::Load(graph_path);
+  std::filesystem::remove(data_path);
+  std::filesystem::remove(graph_path);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+
+  const SongSearcher served(&data.value(), &graph.value(), Metric::kL2,
+                            /*entry=*/0);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.engine_threads = 1;
+  options.base_options = SongSearchOptions::HashTableSelDel();
+  obs::MetricsRegistry registry;
+  SongServer server(&served, options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  const SongSearcher in_process(&fx.data, &fx.graph, Metric::kL2);
+  SongSearchOptions in_process_options = options.base_options;
+  in_process_options.queue_size = options.default_queue_size;
+  constexpr size_t kK = 10;
+  TestClient client(server.port());
+  for (size_t q = 0; q < fx.queries.num(); ++q) {
+    const std::vector<Neighbor> expected = in_process.Search(
+        fx.queries.Row(static_cast<idx_t>(q)), kK, in_process_options);
+    ASSERT_TRUE(client.SendSearch(q, QueryRow(q), kK).ok());
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status_code, 0);
+    ASSERT_EQ(response.value().results.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(response.value().results[i].id, expected[i].id)
+          << "query " << q << " rank " << i;
+    }
+  }
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(server.counters().ok, fx.queries.num());
   ExpectConservation(server);
 }
 

@@ -181,11 +181,30 @@ TEST(SearchCoreEdge, TinyBloomFilterStillNoCrashLowRecall) {
 TEST(SearchCoreEdge, ZeroDegreeEntryReturnsJustEntry) {
   Dataset data = MakePoints({{0.f}, {1.f}, {2.f}});
   FixedDegreeGraph graph(3, 2);  // no edges at all
-  SongSearcher searcher(&data, &graph, Metric::kL2);
   const float query[1] = {1.5f};
-  const auto result = searcher.Search(query, 3, {});
+  const idx_t seeds[] = {0};
+  SongWorkspace workspace;
+  const auto result = SongSearchCore(
+      graph, seeds, data.num(), sizeof(float),
+      [&](idx_t v) { return L2Sqr(query, data.Row(v), 1); }, 3,
+      SongSearchOptions{}, &workspace, nullptr);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 0u);
+}
+
+TEST(SearchCoreEdge, ZeroDegreeSearcherReturnsJustItsSeeds) {
+  // With no edges, round 0 is the whole search: SeedList(3, 2, 0) = {0, 1}.
+  Dataset data = MakePoints({{0.f}, {1.f}, {2.f}});
+  FixedDegreeGraph graph(3, 2);
+  SongSearcher searcher(&data, &graph, Metric::kL2);
+  const float query[1] = {1.5f};
+  SearchStats stats;
+  const auto result = searcher.Search(query, 3, {}, &stats);
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_EQ(result[0].id, 1u);
+  EXPECT_EQ(result[1].id, 0u);
+  EXPECT_EQ(stats.distance_computations, 2u);
+  EXPECT_EQ(stats.visited_tests, 0u);
 }
 
 TEST(SearchCoreEdge, RepeatedSearchesReuseWorkspaceCleanly) {
